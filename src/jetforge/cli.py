@@ -65,7 +65,11 @@ def _check_level(level: int) -> None:
 
 def _load_operator(op_arg: str):
     path = Path(op_arg)
-    if path.suffix == ".pdo" or path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. DSL text longer than a file name may be
+        is_file = False
+    if path.suffix == ".pdo" or is_file:
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:

@@ -1,12 +1,14 @@
-"""Dense exact linear algebra over Scalar entries.
+"""Sparse exact linear algebra over Scalar entries.
 
-Elimination walks columns left to right and picks the first row with a
-nonzero entry, so results (and free-variable choices) are deterministic.
+Rows are held as ``{column: Scalar}`` dicts of their nonzeros.  The pivots
+are the first linearly independent columns in graded-lex (column) order
+and free variables are pinned to zero, so ``rank`` and ``solve`` depend
+only on the matrix and right-hand side.
 """
 
 from __future__ import annotations
 
-from .scalar import Scalar
+from .scalar import ONE, ZERO, Scalar
 
 
 def mat_vec(matrix, vec):
@@ -20,47 +22,42 @@ def mat_vec(matrix, vec):
     return out
 
 
-def _eliminate(rows, rhs):
-    """Forward elimination with unit pivots; returns pivot column list."""
-    if not rows:
-        return []
-    n_rows = len(rows)
-    n_cols = len(rows[0])
-    pivots = []
-    pr = 0
-    for col in range(n_cols):
-        if pr >= n_rows:
-            break
-        hit = None
-        for r in range(pr, n_rows):
-            if rows[r][col]:
-                hit = r
+def _eliminate(matrix, rhs=()):
+    """Reduce each sparse row against the unit pivot rows found so far.
+
+    The right-hand side rides along as column ``n_cols``, which is never a
+    pivot.  Returns ``(pivot_rows keyed by leading column, n_cols,
+    consistent)``.
+    """
+    n_cols = len(matrix[0]) if matrix else 0
+    pivot_rows = {}
+    consistent = True
+    for entries, b in zip(matrix, rhs or [ZERO] * len(matrix)):
+        row = {j: v for j, v in enumerate(entries) if v}
+        if b:
+            row[n_cols] = b
+        while row:
+            lead = min(row)
+            prow = pivot_rows.get(lead)
+            if prow is None:
+                if lead >= n_cols:
+                    consistent = False
+                else:
+                    inv = ONE / row[lead]
+                    pivot_rows[lead] = {j: v * inv for j, v in row.items()}
                 break
-        if hit is None:
-            continue
-        if hit != pr:
-            rows[pr], rows[hit] = rows[hit], rows[pr]
-            if rhs is not None:
-                rhs[pr], rhs[hit] = rhs[hit], rhs[pr]
-        inv = Scalar(1) / rows[pr][col]
-        rows[pr] = [v * inv for v in rows[pr]]
-        if rhs is not None:
-            rhs[pr] = rhs[pr] * inv
-        for r in range(pr + 1, n_rows):
-            f = rows[r][col]
-            if not f:
-                continue
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-            if rhs is not None:
-                rhs[r] = rhs[r] - f * rhs[pr]
-        pivots.append(col)
-        pr += 1
-    return pivots
+            f = row[lead]
+            for j, v in prow.items():
+                w = row.get(j, ZERO) - f * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return pivot_rows, n_cols, consistent
 
 
 def rank(matrix) -> int:
-    rows = [list(r) for r in matrix]
-    return len(_eliminate(rows, None))
+    return len(_eliminate(matrix)[0])
 
 
 def solve(matrix, rhs):
@@ -69,22 +66,16 @@ def solve(matrix, rhs):
     Returns ``(solution, pivot_columns)``; solution is None when the
     system is inconsistent.
     """
-    rows = [list(r) for r in matrix]
     b = [Scalar.coerce(v) for v in rhs]
-    if rows and len(b) != len(rows):
+    if len(b) != len(matrix):
         raise ValueError("right-hand side length does not match row count")
-    pivots = _eliminate(rows, b)
-    for r in range(len(pivots), len(rows)):
-        if b[r]:
-            return None, pivots
-    n_cols = len(rows[0]) if rows else 0
-    x = [Scalar() for _ in range(n_cols)]
-    for idx in range(len(pivots) - 1, -1, -1):
-        col = pivots[idx]
-        total = b[idx]
-        row = rows[idx]
-        for j in range(col + 1, n_cols):
-            if row[j] and x[j]:
-                total = total - row[j] * x[j]
-        x[col] = total
-    return x, pivots
+    pivot_rows, n_cols, consistent = _eliminate(matrix, b)
+    pivots = sorted(pivot_rows)
+    if not consistent:
+        return None, pivots
+    # back-substitute in descending pivot order; x[n_cols] = -1 makes the
+    # right-hand side entry of each pivot row count with a plus sign
+    x = [ZERO] * n_cols + [-ONE]
+    for col in reversed(pivots):
+        x[col] = -sum((v * x[j] for j, v in pivot_rows[col].items() if x[j]), ZERO)
+    return x[:n_cols], pivots

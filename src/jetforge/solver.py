@@ -149,16 +149,18 @@ def check_surjectivity(sym: LinearSymbol, x0: RationalPoint, k: int) -> RankRepo
 def membership_I(
     sym: LinearSymbol, g: MultiPoly, x0: RationalPoint, s: int
 ) -> bool:
-    """Does every jet of g through order s lift through the symbol at x0?"""
+    """Does every jet of g through order s lift through the symbol at x0?
+
+    Rows of weight w touch only columns of weight <= r + w, so each
+    lower-level system is the top-left block of the level-s one: a
+    level-s lift truncates to a lift at every level k <= s.
+    """
     if g.num_vars != sym.base_dim:
         raise DimensionMismatch(
             f"right-hand side in {g.num_vars} variables for dimension "
             f"{sym.base_dim}"
         )
-    for k in range(s + 1):
-        if not lift_jet(sym, x0, taylor_jet(g, x0, k)).solved:
-            return False
-    return True
+    return lift_jet(sym, x0, taylor_jet(g, x0, s)).solved
 
 
 def _linear_witness(

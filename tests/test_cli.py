@@ -196,3 +196,18 @@ def test_solve_text_output(capsys):
     out = capsys.readouterr().out
     assert "solution: x1" in out
     assert "post-check: exact" in out
+
+
+def test_long_inline_operator_is_parsed_not_statted(capsys):
+    op = " + ".join(f"{k}*x1^{k}*d[1]" for k in range(1, 40))
+    assert len(op) >= 300
+    assert run_command(["symbol", "--op", op]) == 0
+    assert "d[1]" in capsys.readouterr().out
+
+
+def test_long_invalid_inline_operator_exits_2(capsys):
+    op = "d[1] + " * 43 + "@"
+    assert len(op) >= 300
+    assert run_command(["symbol", "--op", op]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,7 +1,14 @@
+import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import dense_oracle
+from jetforge.algebra import MultiPoly
 from jetforge.linalg import mat_vec, rank, solve
 from jetforge.scalar import Scalar
+from jetforge.symbols import LinearSymbol, fiber_matrix, lewy_symbol, prolong
 
 
 def S(re, im=0):
@@ -55,8 +62,6 @@ def test_solve_complex_entries():
 
 
 def test_solution_satisfies_system():
-    import random
-
     rng = random.Random(23)
     for _ in range(30):
         rows = rng.randint(1, 4)
@@ -68,3 +73,124 @@ def test_solution_satisfies_system():
         x, _ = solve(matrix, rhs)
         assert x is not None  # rhs was constructed in the image
         assert mat_vec(matrix, x) == rhs
+
+
+# -- differential oracle: the dense solver this module replaced ----------------
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+entries = st.one_of(
+    st.just(Scalar()), st.just(Scalar()), st.builds(Scalar, rationals, rationals)
+)
+
+
+@st.composite
+def systems(draw):
+    """Sparse matrices with zero, duplicated and dependent rows, and a rhs
+    drawn inside the image or at random (usually outside it)."""
+    n_cols = draw(st.integers(0, 7))
+    row = st.lists(entries, min_size=n_cols, max_size=n_cols)
+    base = draw(st.lists(row, max_size=5))
+    matrix = list(base)
+    for _ in range(draw(st.integers(0, 3)) if base else 0):
+        kind = draw(st.sampled_from(["zero", "duplicate", "combination"]))
+        if kind == "zero":
+            matrix.append([Scalar()] * n_cols)
+        elif kind == "duplicate":
+            matrix.append(list(draw(st.sampled_from(base))))
+        else:
+            a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            fa, fb = draw(entries), draw(entries)
+            matrix.append([fa * u + fb * v for u, v in zip(a, b)])
+    matrix = draw(st.permutations(matrix))
+    if draw(st.booleans()):
+        rhs = mat_vec(matrix, draw(row))
+    else:
+        rhs = draw(st.lists(entries, min_size=len(matrix), max_size=len(matrix)))
+    return matrix, rhs
+
+
+def assert_matches_oracle(matrix, rhs):
+    matrix_before = [list(row) for row in matrix]
+    rhs_before = list(rhs)
+    assert rank(matrix) == dense_oracle.rank(matrix)
+    assert solve(matrix, rhs) == dense_oracle.solve(matrix, rhs)
+    assert matrix == matrix_before
+    assert rhs == rhs_before
+
+
+@settings(max_examples=300)
+@given(systems())
+def test_sparse_matches_dense_oracle(system):
+    assert_matches_oracle(*system)
+
+
+def test_empty_matrix_matches_oracle():
+    assert_matches_oracle([], [])
+    assert solve([], []) == ([], [])
+    assert rank([]) == 0
+
+
+@given(systems(), st.integers(1, 3), st.booleans())
+def test_mismatched_rhs_length_raises(system, extra, longer):
+    matrix, rhs = system
+    bad = rhs + [Scalar(1)] * extra if longer else rhs[: max(0, len(rhs) - extra)]
+    assume(len(bad) != len(rhs))
+    with pytest.raises(ValueError):
+        solve(matrix, bad)
+    if matrix:  # the dense solver let a rhs for a 0-row matrix through
+        with pytest.raises(ValueError):
+            dense_oracle.solve(matrix, bad)
+
+
+def _seeded_points(rng, m, count):
+    return [
+        tuple(Fraction(rng.randint(-5, 5), rng.choice([2, 3, 5, 7])) for _ in range(m))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "sym, points",
+    [
+        (lewy_symbol(), _seeded_points(random.Random(31), 3, 2)),
+        (
+            LinearSymbol(1, 1, {(1,): MultiPoly.monomial(1, (2,))}),
+            [(Fraction(0),)] + _seeded_points(random.Random(37), 1, 3),
+        ),
+    ],
+    ids=["lewy", "x2_ddx"],
+)
+def test_fiber_matrices_match_oracle(sym, points):
+    rng = random.Random(41)
+    for x0 in points:
+        for level in range(6):
+            matrix = fiber_matrix(prolong(sym, level), x0)
+            if level % 2:  # a rhs in the image
+                x = [Scalar(rng.randint(-3, 3)) for _ in range(len(matrix[0]))]
+                rhs = mat_vec(matrix, x)
+            else:  # a random rhs: outside the image where the map is not onto
+                rhs = [Scalar(rng.randint(-3, 3)) for _ in range(len(matrix))]
+            assert_matches_oracle(matrix, rhs)
+
+
+def test_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def entry(rng):
+        if rng.random() < 0.5:
+            return S(0)
+        re = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+        return S(re, rng.choice([0, 0, 1, -2]))
+
+    def to_sympy(v):
+        return sympy.nsimplify(v.re) + sympy.I * sympy.nsimplify(v.im)
+
+    rng = random.Random(53)
+    for _ in range(20):
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+        matrix = [[entry(rng) for _ in range(n_cols)] for _ in range(n_rows)]
+        if rng.random() < 0.5:  # force a dependent row
+            a, b = rng.choice(matrix), rng.choice(matrix)
+            matrix.append([u + S(0, 1) * v for u, v in zip(a, b)])
+        expected = sympy.Matrix([[to_sympy(v) for v in row] for row in matrix])
+        assert rank(matrix) == expected.rank()

@@ -231,27 +231,63 @@ def test_nonvanishing_symbol_rank_one_at_level_zero():
 
 # -- membership -------------------------------------------------------------
 
+def membership_by_levels(sym, g, x0, s):
+    """The level-by-level definition: one lift at every order k <= s."""
+    return all(lift_jet(sym, x0, taylor_jet(g, x0, k)).solved for k in range(s + 1))
+
+
+def membership(sym, g, x0, s):
+    """membership_I, checked against the level-by-level definition."""
+    result = membership_I(sym, g, x0, s)
+    assert result == membership_by_levels(sym, g, x0, s)
+    return result
+
+
+def rand_poly(rng, m, deg, n_terms):
+    alphas = enumerate_multiindices(m, deg)
+    return MultiPoly(
+        m, {rng.choice(alphas): Fraction(rng.randint(-3, 3)) for _ in range(n_terms)}
+    )
+
+
 def test_membership_nonvanishing_principal_always_true():
     rng = random.Random(43)
     lewy = lewy_symbol()
     for _ in range(5):
-        alphas = enumerate_multiindices(3, 2)
-        g = MultiPoly(
-            3, {rng.choice(alphas): Fraction(rng.randint(-3, 3)) for _ in range(2)}
-        )
-        assert membership_I(lewy, g, ORIGIN3, 3)
+        g = rand_poly(rng, 3, 2, 2)
+        assert membership(lewy, g, ORIGIN3, 3)
 
 
 def test_membership_zero_map_rejects_constant():
-    assert not membership_I(x_squared_ddx(), MultiPoly.constant(1, 1), ZERO1, 0)
+    assert not membership(x_squared_ddx(), MultiPoly.constant(1, 1), ZERO1, 0)
+    assert not membership(x_squared_ddx(), MultiPoly.constant(1, 1), ZERO1, 2)
 
 
 def test_membership_quartic_through_degenerate_symbol():
     # x^2 f' = x^4 has the honest solution f = x^3/3, so every jet lifts
     g = MultiPoly.monomial(1, (4,))
-    assert membership_I(x_squared_ddx(), g, ZERO1, 4)
+    assert membership(x_squared_ddx(), g, ZERO1, 4)
     honest = MultiPoly(1, {(3,): Fraction(1, 3)})
     assert apply_operator(x_squared_ddx(), honest) == g
+
+
+def test_membership_single_lift_matches_level_loop():
+    # symbols whose coefficients often vanish at the (often zero) point
+    rng = random.Random(47)
+    outcomes = set()
+    for _ in range(30):
+        m, r = rng.randint(1, 2), rng.randint(1, 2)
+        alphas = enumerate_multiindices(m, r)
+        terms = {rng.choice(alphas): rand_poly(rng, m, 2, 1) for _ in range(2)}
+        sym = LinearSymbol(m, r, {a: c for a, c in terms.items() if c})
+        x0 = tuple(Fraction(rng.choice([0, 0, 1, -1])) for _ in range(m))
+        outcomes.add(membership(sym, rand_poly(rng, m, 3, 2), x0, rng.randint(0, 3)))
+    assert outcomes == {True, False}
+
+
+def test_membership_negative_order_rejected():
+    with pytest.raises(ValueError):
+        membership_I(ddx(), MultiPoly.constant(1, 1), ZERO1, -1)
 
 
 # -- pointwise covering witnesses -------------------------------------------
