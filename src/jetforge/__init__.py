@@ -48,11 +48,14 @@ from .solver import (
     LiftResult,
     PCPWitness,
     RankReport,
+    Solution,
     borel_realize,
     check_surjectivity,
     lift_jet,
     membership_I,
     pcp_check,
+    residual_vanishes,
+    solve,
     solve_at_points,
     solve_to_order,
 )

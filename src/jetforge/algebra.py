@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import DimensionMismatch, DuplicatePoints, NotAUnit
-from .jets import JetVector, MultiIndex, _indices, factorial, graded_key, weight
+from .jets import JetVector, MultiIndex, _indices, _tree, factorial, graded_key, weight
 from .scalar import Scalar, as_fraction
 
 RationalPoint = tuple[Fraction, ...]
@@ -22,6 +22,17 @@ RationalPoint = tuple[Fraction, ...]
 def rational_point(coords) -> RationalPoint:
     """Coerce a sequence of ints/Fractions/strings to an exact point."""
     return tuple(as_fraction(c) for c in coords)
+
+
+def distinct_points(points) -> list[RationalPoint]:
+    """Coerce a nonempty list of pairwise distinct points."""
+    pts = [rational_point(p) for p in points]
+    if not pts:
+        raise ValueError("need at least one point")
+    for a, p in enumerate(pts):
+        if p in pts[a + 1 :]:
+            raise DuplicatePoints(f"point {p} repeated")
+    return pts
 
 
 class MultiPoly:
@@ -290,15 +301,10 @@ def taylor_jet(p: MultiPoly, x0: RationalPoint, k: int) -> JetVector:
         )
     point = rational_point(x0)
     # walk the multiindex tree so each D^alpha p is derived once
-    derivatives: dict[MultiIndex, MultiPoly] = {}
-    entries = []
-    for alpha in _indices(p.num_vars, k):
-        if weight(alpha) == 0:
-            derivatives[alpha] = p
-        else:
-            pos = next(j for j, a in enumerate(alpha) if a)
-            parent = alpha[:pos] + (alpha[pos] - 1,) + alpha[pos + 1 :]
-            derivatives[alpha] = derivatives[parent].partial(pos + 1)
+    derivatives: dict[MultiIndex, MultiPoly] = {(0,) * p.num_vars: p}
+    entries = [p.evaluate(point)]
+    for alpha, parent, i in _tree(p.num_vars, k):
+        derivatives[alpha] = derivatives[parent].partial(i)
         entries.append(derivatives[alpha].evaluate(point))
     return JetVector(p.num_vars, k, entries)
 
@@ -365,9 +371,7 @@ def hermite_interpolate(points, jets, k: int) -> MultiPoly:
     by a degree <= k factor corrected with the truncated local inverse of
     B_j.  The result matches every prescribed jet exactly.
     """
-    points = [rational_point(p) for p in points]
-    if not points:
-        raise ValueError("need at least one interpolation point")
+    points = distinct_points(points)
     m = len(points[0])
     if len(jets) != len(points):
         raise DimensionMismatch("one jet per point required")
@@ -379,10 +383,6 @@ def hermite_interpolate(points, jets, k: int) -> MultiPoly:
             raise DimensionMismatch(
                 f"jets must have dimension {m} and order {k}"
             )
-    for a in range(len(points)):
-        for b in range(a + 1, len(points)):
-            if points[a] == points[b]:
-                raise DuplicatePoints(f"point {points[a]} repeated")
 
     result = MultiPoly.zero(m)
     for j, (pj, jet) in enumerate(zip(points, jets)):
@@ -415,6 +415,11 @@ def format_poly(p: MultiPoly, var=None) -> str:
         ]
         mono = "*".join(factors)
         parts.append(_term_text(c, mono))
+    return _join_signed(parts)
+
+
+def _join_signed(parts: list[str]) -> str:
+    """Join term texts with " + ", or " - " in place of a leading minus."""
     out = parts[0]
     for part in parts[1:]:
         if part.startswith("-"):

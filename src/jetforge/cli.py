@@ -17,21 +17,14 @@ import os
 import sys
 from pathlib import Path
 
-from .algebra import format_poly, taylor_jet
+from .algebra import format_poly
 from .checks import run_all
-from .errors import JetforgeError, ParseError, UnsolvableError
+from .errors import JetforgeError, UnsolvableError
 from .jets import graded_key, jet_dimension
 from .parser import parse_operator, parse_pdo, parse_point, parse_polynomial
-from .solver import (
-    borel_realize,
-    check_surjectivity,
-    lift_jet,
-    pcp_check,
-    solve_at_points,
-)
+from .solver import check_surjectivity, pcp_check, residual_vanishes, solve
 from .symbols import (
     LinearSymbol,
-    apply_operator,
     format_general,
     format_operator,
     principal_part,
@@ -136,19 +129,13 @@ def _text_lines(report: dict) -> list[str]:
             f"rank {report['rank']} of {report['fiber_dimension']} at level "
             f"{report['level']}: {verdict}"
         ]
-    if kind == "solve":
+    if kind in ("solve", "solve-multi"):
         if report["status"] == "unsolvable":
             return [f"unsolvable at point ({', '.join(report['point'])})"]
+        where = f" at {len(report['points'])} points" if "points" in report else ""
         return [
             f"solution: {report['polynomial']}",
-            f"post-check: {report['post_check']}",
-        ]
-    if kind == "solve-multi":
-        if report["status"] == "unsolvable":
-            return [f"unsolvable at point ({', '.join(report['point'])})"]
-        return [
-            f"solution: {report['polynomial']}",
-            f"post-check: {report['post_check']} at {len(report['points'])} points",
+            f"post-check: {report['post_check']}{where}",
         ]
     if kind == "pcp":
         if report["status"] == "witness":
@@ -236,23 +223,14 @@ def _cmd_rank(args) -> tuple[dict, int]:
     return payload, 0
 
 
-def _solve_one(sym, g, x0, s):
-    """Lift, realize, and post-check one point; returns (jet, f, pivots)."""
-    target = taylor_jet(g, x0, s)
-    lifted = lift_jet(sym, x0, target)
-    if not lifted.solved:
-        return None, None, lifted.pivots
-    f = borel_realize(lifted.jet, x0)
-    return lifted.jet, f, lifted.pivots
-
-
 def _cmd_solve(args) -> tuple[dict, int]:
     sym = _load_linear(args.op)
     _check_level(args.order)
     x0 = parse_point(args.point)
     g = parse_polynomial(args.rhs, dim=sym.base_dim)
-    jet, f, pivots = _solve_one(sym, g, x0, args.order)
-    if jet is None:
+    try:
+        solution = solve(sym, g, [x0], args.order)
+    except UnsolvableError as exc:
         payload = {
             "kind": "solve",
             "status": "unsolvable",
@@ -260,19 +238,19 @@ def _cmd_solve(args) -> tuple[dict, int]:
             "order": args.order,
             "jet": None,
             "polynomial": None,
-            "pivots": [list(p) for p in pivots],
+            "pivots": [list(p) for p in exc.pivots],
         }
         return payload, 1
-    residual = apply_operator(sym, f) - g
-    exact = taylor_jet(residual, x0, args.order).is_zero
+    (lifted,) = solution.lifts
+    exact = residual_vanishes(sym, g, solution.polynomial, [x0], args.order)
     payload = {
         "kind": "solve",
         "status": "solved",
         "point": _point_json(x0),
         "order": args.order,
-        "jet": jet.to_json_dict(),
-        "polynomial": format_poly(f),
-        "pivots": [list(p) for p in pivots],
+        "jet": lifted.jet.to_json_dict(),
+        "polynomial": format_poly(solution.polynomial),
+        "pivots": [list(p) for p in lifted.pivots],
         "post_check": "exact" if exact else "FAILED",
     }
     return payload, 0 if exact else 1
@@ -299,7 +277,7 @@ def _cmd_solve_multi(args) -> tuple[dict, int]:
     points = _read_points_file(args.points_file)
     g = parse_polynomial(args.rhs, dim=sym.base_dim)
     try:
-        f = solve_at_points(sym, g, points, args.order)
+        f = solve(sym, g, points, args.order).polynomial
     except UnsolvableError as exc:
         payload = {
             "kind": "solve-multi",
@@ -308,10 +286,7 @@ def _cmd_solve_multi(args) -> tuple[dict, int]:
             "order": args.order,
         }
         return payload, 1
-    residual = apply_operator(sym, f) - g
-    exact = all(
-        taylor_jet(residual, p, args.order).is_zero for p in points
-    )
+    exact = residual_vanishes(sym, g, f, points, args.order)
     payload = {
         "kind": "solve-multi",
         "status": "solved",
@@ -460,9 +435,6 @@ def run_command(argv) -> int:
         return code if isinstance(code, int) else 2
     try:
         report, exit_code = _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except JetforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

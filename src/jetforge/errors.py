@@ -28,9 +28,10 @@ class DuplicatePoints(JetforgeError):
 class UnsolvableError(JetforgeError):
     """The exact linear system for the requested jet has no solution."""
 
-    def __init__(self, message, point=None):
+    def __init__(self, message, point=None, pivots=()):
         super().__init__(message)
         self.point = point
+        self.pivots = tuple(pivots)
 
 
 class ParseError(JetforgeError):

@@ -75,6 +75,19 @@ def _indices(m: int, k: int) -> tuple[MultiIndex, ...]:
 
 
 @lru_cache(maxsize=None)
+def _tree(m: int, k: int) -> tuple[tuple[MultiIndex, MultiIndex, int], ...]:
+    """(alpha, parent, direction) over weights 1..k in graded-lex order:
+    parent is alpha with its first nonzero entry (1-based position
+    direction) decremented, so every parent precedes its children."""
+    out = []
+    for alpha in _indices(m, k)[1:]:
+        pos = next(j for j, a in enumerate(alpha) if a)
+        parent = alpha[:pos] + (alpha[pos] - 1,) + alpha[pos + 1 :]
+        out.append((alpha, parent, pos + 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _index_of(m: int, k: int) -> dict[MultiIndex, int]:
     return {alpha: pos for pos, alpha in enumerate(_indices(m, k))}
 

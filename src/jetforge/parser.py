@@ -45,6 +45,15 @@ class _Token:
         return f"Token({self.kind}, {self.value!r})"
 
 
+def _int(digits: str, line: int, column: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # over the interpreter's int digit limit
+        raise ParseError(
+            f"integer too long ({len(digits)} digits)", line, column
+        ) from None
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     line, col = 1, 1
@@ -61,11 +70,11 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
-            tokens.append(_Token("int", int(text[start:i]), line, col))
+            tokens.append(_Token("int", _int(text[start:i], line, col), line, col))
             col += i - start
             continue
         if ch.isalpha() or ch == "_":
@@ -235,8 +244,8 @@ class _Parser:
         if name in ("d", "y"):
             alpha = self.parse_slot()
             return _Expr.marker((name, alpha))
-        if name.startswith("x") and name[1:].isdigit():
-            index = int(name[1:])
+        if name.startswith("x") and name[1:].isdecimal():
+            index = _int(name[1:], tok.line, tok.column)
             if index < 1:
                 raise ParseError(
                     f"variable index must be >= 1, got {name!r}",
@@ -298,9 +307,7 @@ def _to_multipoly(expr: _Expr, dim: int) -> MultiPoly:
     terms = {}
     for key, c in expr.terms.items():
         exps = [0] * dim
-        for (kind, payload), e in key:
-            if kind != "x":
-                raise ParseError("d[...]/y[...] not allowed in a polynomial", 1, 1)
+        for (_, payload), e in key:  # only x markers: parse_polynomial checked
             exps[payload - 1] += e
         alpha = tuple(exps)
         terms[alpha] = terms.get(alpha, _ZERO) + c
@@ -319,14 +326,12 @@ def parse_polynomial(text: str, dim=None) -> MultiPoly:
     return _to_multipoly(expr, m)
 
 
-def _build_linear(expr: _Expr, dim, order) -> LinearSymbol:
-    _, d_arities, _ = _scan_markers(expr)
+def _build_linear(expr: _Expr, dim, order, max_x, d_arities) -> LinearSymbol:
     if len(d_arities) > 1:
         raise ParseError(
             f"d[...] atoms of mixed lengths {sorted(d_arities)}", 1, 1
         )
     arity = d_arities.pop() if d_arities else None
-    max_x, _, _ = _scan_markers(expr)
     if arity is None:
         if not expr.terms:
             if dim is None:
@@ -390,8 +395,7 @@ def _build_linear(expr: _Expr, dim, order) -> LinearSymbol:
     return LinearSymbol(m, r, terms)
 
 
-def _build_general(expr: _Expr, dim, order) -> GeneralSymbol:
-    max_x, _, y_arities = _scan_markers(expr)
+def _build_general(expr: _Expr, dim, order, max_x, y_arities) -> GeneralSymbol:
     if len(y_arities) > 1:
         raise ParseError(
             f"y[...] atoms of mixed lengths {sorted(y_arities)}", 1, 1
@@ -455,12 +459,12 @@ def parse_operator(text: str, dim=None, order=None):
     parser = _Parser(text)
     expr = parser.parse_expr()
     parser.finish()
-    _, d_arities, y_arities = _scan_markers(expr)
+    max_x, d_arities, y_arities = _scan_markers(expr)
     if d_arities and y_arities:
         raise ParseError("operator mixes d[...] and y[...] atoms", 1, 1)
     if y_arities:
-        return _build_general(expr, dim, order)
-    return _build_linear(expr, dim, order)
+        return _build_general(expr, dim, order, max_x, y_arities)
+    return _build_linear(expr, dim, order, max_x, d_arities)
 
 
 def parse_point(text: str):
@@ -495,6 +499,8 @@ def parse_pdo(text: str):
         )
     m = int(header[1])
     r = int(header[3])
+    if m < 1:
+        raise ParseError("dimension must be >= 1", header_index + 1, 1)
     body = "\n".join(
         line
         for line in lines[header_index + 1 :]

@@ -16,15 +16,16 @@ from . import linalg, roots
 from .algebra import (
     MultiPoly,
     RationalPoint,
+    distinct_points,
     hermite_interpolate,
     rational_point,
     taylor_jet,
     taylor_polynomial,
 )
-from .errors import DimensionMismatch, DuplicatePoints, UnsolvableError
+from .errors import DimensionMismatch, UnsolvableError
 from .jets import JetVector, MultiIndex, _indices, jet_dimension
 from .scalar import Scalar
-from .symbols import GeneralSymbol, LinearSymbol, fiber_matrix, prolong
+from .symbols import GeneralSymbol, LinearSymbol, apply_operator, fiber_matrix, prolong
 
 
 @dataclass(frozen=True)
@@ -78,63 +79,73 @@ def lift_jet(sym: LinearSymbol, x0: RationalPoint, target: JetVector) -> LiftRes
     return LiftResult(JetVector(sym.base_dim, sym.order + s, solution), pivots)
 
 
-def borel_realize(jet: JetVector, x0: RationalPoint) -> MultiPoly:
-    """The polynomial whose jet at x0 is exactly the given jet."""
-    if len(x0) != jet.base_dim:
-        raise DimensionMismatch(
-            f"point of length {len(x0)} for dimension {jet.base_dim}"
-        )
-    return taylor_polynomial(jet, x0)
+# the Taylor polynomial is the Borel realization of a finite jet
+borel_realize = taylor_polynomial
 
 
-def solve_to_order(
-    sym: LinearSymbol, g: MultiPoly, x0: RationalPoint, s: int
-) -> MultiPoly:
-    """Polynomial f with the s-jet of P(f) - g vanishing at x0, exactly.
+@dataclass(frozen=True)
+class Solution:
+    """A polynomial solving P(f) = g to order s at each point, with the
+    per-point lifts (solution jet and pivots) it realizes."""
 
-    Raises UnsolvableError when the s-jet of g is outside the image of the
-    prolonged symbol at x0.
-    """
+    polynomial: MultiPoly
+    lifts: tuple[LiftResult, ...]
+
+
+def _check_rhs(sym, g: MultiPoly) -> None:
     if g.num_vars != sym.base_dim:
         raise DimensionMismatch(
             f"right-hand side in {g.num_vars} variables for dimension "
             f"{sym.base_dim}"
         )
-    target = taylor_jet(g, x0, s)
-    lifted = lift_jet(sym, x0, target)
-    if not lifted.solved:
-        raise UnsolvableError(
-            f"no order-{s} solution jet at {tuple(x0)}", point=tuple(x0)
-        )
-    return borel_realize(lifted.jet, x0)
+
+
+def solve(sym: LinearSymbol, g: MultiPoly, points, s: int) -> Solution:
+    """Lift the s-jet of g at every point, then realize the lifts.
+
+    One point is realized by its Taylor polynomial; several are glued
+    with exact interpolation, which reproduces each solution jet, so the
+    per-point s-jet guarantee survives.  Raises UnsolvableError, carrying
+    the point and the pivots, when some s-jet of g is outside the image
+    of the prolonged symbol.
+    """
+    _check_rhs(sym, g)
+    pts = distinct_points(points)
+    lifts = []
+    for p in pts:
+        lifted = lift_jet(sym, p, taylor_jet(g, p, s))
+        if not lifted.solved:
+            raise UnsolvableError(
+                f"no order-{s} solution jet at {p}", point=p, pivots=lifted.pivots
+            )
+        lifts.append(lifted)
+    if len(pts) == 1:
+        poly = taylor_polynomial(lifts[0].jet, pts[0])
+    else:
+        poly = hermite_interpolate(pts, [l.jet for l in lifts], sym.order + s)
+    return Solution(poly, tuple(lifts))
+
+
+def residual_vanishes(
+    sym: LinearSymbol, g: MultiPoly, f: MultiPoly, points, s: int
+) -> bool:
+    """The exact post-check: the s-jet of P(f) - g is zero at every point."""
+    residual = apply_operator(sym, f) - g
+    return all(taylor_jet(residual, p, s).is_zero for p in points)
+
+
+def solve_to_order(
+    sym: LinearSymbol, g: MultiPoly, x0: RationalPoint, s: int
+) -> MultiPoly:
+    """Polynomial f with the s-jet of P(f) - g vanishing at x0, exactly."""
+    return solve(sym, g, [x0], s).polynomial
 
 
 def solve_at_points(
     sym: LinearSymbol, g: MultiPoly, points, s: int
 ) -> MultiPoly:
-    """One polynomial solving P(f) = g to order s at every listed point.
-
-    Solves pointwise at jet order r+s and glues the solution jets with
-    exact interpolation; the per-point s-jet guarantee survives because
-    the glued polynomial reproduces each solution jet exactly.
-    """
-    pts = [rational_point(p) for p in points]
-    if not pts:
-        raise ValueError("need at least one point")
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            if pts[a] == pts[b]:
-                raise DuplicatePoints(f"point {pts[a]} repeated")
-    jets = []
-    for p in pts:
-        target = taylor_jet(g, p, s)
-        lifted = lift_jet(sym, p, target)
-        if not lifted.solved:
-            raise UnsolvableError(
-                f"no order-{s} solution jet at {tuple(p)}", point=tuple(p)
-            )
-        jets.append(lifted.jet)
-    return hermite_interpolate(pts, jets, sym.order + s)
+    """One polynomial solving P(f) = g to order s at every listed point."""
+    return solve(sym, g, points, s).polynomial
 
 
 def check_surjectivity(sym: LinearSymbol, x0: RationalPoint, k: int) -> RankReport:
@@ -155,11 +166,7 @@ def membership_I(
     lower-level system is the top-left block of the level-s one: a
     level-s lift truncates to a lift at every level k <= s.
     """
-    if g.num_vars != sym.base_dim:
-        raise DimensionMismatch(
-            f"right-hand side in {g.num_vars} variables for dimension "
-            f"{sym.base_dim}"
-        )
+    _check_rhs(sym, g)
     return lift_jet(sym, x0, taylor_jet(g, x0, s)).solved
 
 
@@ -276,11 +283,7 @@ def pcp_check(sym, g: MultiPoly, x0: RationalPoint) -> PCPWitness:
     roots, and is only a proof of emptiness when the reduction covers
     the symbol's whole jet dependence.
     """
-    if g.num_vars != sym.base_dim:
-        raise DimensionMismatch(
-            f"right-hand side in {g.num_vars} variables for dimension "
-            f"{sym.base_dim}"
-        )
+    _check_rhs(sym, g)
     if len(x0) != sym.base_dim:
         raise DimensionMismatch(
             f"point of length {len(x0)} for dimension {sym.base_dim}"

@@ -14,13 +14,21 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import MultiPoly, RationalPoint, derivative, format_poly, rational_point
+from .algebra import (
+    MultiPoly,
+    RationalPoint,
+    _join_signed,
+    derivative,
+    format_poly,
+    rational_point,
+)
 from .errors import BadDirection, DimensionMismatch
 from .jets import (
     JetVector,
     MultiIndex,
     _index_of,
     _indices,
+    _tree,
     bump,
     graded_key,
     jet_dimension,
@@ -170,14 +178,9 @@ def prolong(sym: LinearSymbol, s: int) -> ProlongedSymbol:
     """
     if s < 0:
         raise ValueError("prolongation level must be >= 0")
-    comps: dict[MultiIndex, LinearSymbol] = {}
-    for beta in _indices(sym.base_dim, s):
-        if weight(beta) == 0:
-            comps[beta] = sym
-            continue
-        pos = next(j for j, b in enumerate(beta) if b)
-        prev = beta[:pos] + (beta[pos] - 1,) + beta[pos + 1 :]
-        comps[beta] = _total_derivative_cached(comps[prev], pos + 1)
+    comps: dict[MultiIndex, LinearSymbol] = {(0,) * sym.base_dim: sym}
+    for beta, parent, i in _tree(sym.base_dim, s):
+        comps[beta] = _total_derivative_cached(comps[parent], i)
     return ProlongedSymbol(sym, s, comps)
 
 
@@ -321,13 +324,7 @@ def format_operator(sym: LinearSymbol) -> str:
             parts.append(f"({format_poly(coeff)})*{slot}")
         else:
             parts.append(f"{format_poly(coeff)}*{slot}")
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out
+    return _join_signed(parts)
 
 
 def format_general(gsym: GeneralSymbol) -> str:

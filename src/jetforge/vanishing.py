@@ -14,7 +14,7 @@ from typing import Optional
 
 from .algebra import RationalPoint, shift
 from .errors import DimensionMismatch
-from .jets import _indices, weight
+from .jets import _tree, weight
 from .symbols import LinearSymbol, _total_derivative_cached
 
 NOT_VANISHING = "not_vanishing"
@@ -84,17 +84,18 @@ def desingularization_order(
         raise ValueError("cap must be >= 0")
     _check_point(sym, x0)
     point = tuple(x0)
-    comps = {}
-    for beta in _indices(sym.base_dim, cap):
-        if weight(beta) == 0:
-            comps[beta] = sym
-        else:
-            pos = next(j for j, b in enumerate(beta) if b)
-            prev = beta[:pos] + (beta[pos] - 1,) + beta[pos + 1 :]
-            comps[beta] = _total_derivative_cached(comps[prev], pos + 1)
-        if any(coeff.evaluate(point) for coeff in comps[beta].terms.values()):
+    if _nonzero_at(sym, point):
+        return 0
+    comps = {(0,) * sym.base_dim: sym}
+    for beta, parent, i in _tree(sym.base_dim, cap):
+        comps[beta] = _total_derivative_cached(comps[parent], i)
+        if _nonzero_at(comps[beta], point):
             return weight(beta)
     return None
+
+
+def _nonzero_at(sym: LinearSymbol, point) -> bool:
+    return any(coeff.evaluate(point) for coeff in sym.terms.values())
 
 
 def finsupp_scan(sym: LinearSymbol, grid) -> list[VanishingReport]:

@@ -211,3 +211,102 @@ def test_long_invalid_inline_operator_exits_2(capsys):
     assert run_command(["symbol", "--op", op]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# -- pinned outputs: the solve reports must stay byte-identical ---------------
+
+LEWY_SOLVED_JET = [
+    ([0, 0, 0], "0", "0"),
+    ([1, 0, 0], "1", "1/4"),
+    ([0, 1, 0], "0", "0"),
+    ([0, 0, 1], "1/4", "0"),
+    ([2, 0, 0], "-1", "5/2"),
+    ([1, 1, 0], "0", "0"),
+    ([1, 0, 1], "2", "0"),
+    ([0, 2, 0], "0", "0"),
+    ([0, 1, 1], "0", "0"),
+    ([0, 0, 2], "0", "0"),
+]
+
+
+def test_solve_pinned_report(capsys, schema, lewy_file):
+    code, report = run_json(
+        capsys,
+        [
+            "solve", "--op", lewy_file, "--point", "1/2,1/3,1",
+            "--order", "1", "--rhs", "x1*x2 + x3^2",
+        ],
+    )
+    assert code == 0
+    jsonschema.validate(report, schema)
+    assert report["jet"] == {
+        "m": 3,
+        "order": 2,
+        "entries": [
+            {"alpha": a, "re": re, "im": im} for a, re, im in LEWY_SOLVED_JET
+        ],
+    }
+    assert report["polynomial"] == (
+        "(1/8 + 3/16*i) + (-1/2 - i)*x1 - 3/4*x3 + (-1/2 + 5/4*i)*x1^2"
+        " + 2*x1*x3"
+    )
+    assert report["pivots"] == [[1, 0, 0], [0, 0, 1], [2, 0, 0], [1, 0, 1]]
+    assert report["post_check"] == "exact"
+
+
+@pytest.mark.parametrize("order, pivots", [("0", []), ("2", [[1], [2]])])
+def test_solve_unsolvable_pinned_pivots(capsys, schema, order, pivots):
+    code, report = run_json(
+        capsys,
+        ["solve", "--op", "x1*d[1]", "--point", "0", "--order", order, "--rhs", "1"],
+    )
+    assert code == 1
+    jsonschema.validate(report, schema)
+    assert report["pivots"] == pivots
+    assert report["jet"] is None and report["polynomial"] is None
+
+
+def test_solve_multi_pinned_polynomial(capsys, schema, tmp_path):
+    points = tmp_path / "points.txt"
+    points.write_text("0\n1\n")
+    code, report = run_json(
+        capsys,
+        [
+            "solve-multi", "--op", "x1*d[1] + d[0] + d[2]",
+            "--points-file", str(points), "--order", "1", "--rhs", "x1^2 + 1",
+        ],
+    )
+    assert code == 0
+    jsonschema.validate(report, schema)
+    assert report["polynomial"] == (
+        "1 - 330*x1^4 + 1848*x1^5 - 4620*x1^6 + 6600*x1^7 - 5655*x1^8"
+        " + 2765*x1^9 - 644*x1^10 + 36*x1^11"
+    )
+    assert report["post_check"] == "exact"
+
+
+# -- hostile input exits 2 with a located message ---------------------------
+
+def test_pdo_zero_dimension_exits_2(capsys, tmp_path):
+    path = tmp_path / "zero.pdo"
+    path.write_text("# nothing\ndim 0 order 0\n0\n")
+    assert run_command(["symbol", "--op", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2:1: dimension must be >= 1")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "op, where",
+    [
+        ("d[1] + 3" + "7" * 4400, "1:8:"),  # over the interpreter's digit limit
+        ("x" + "1" * 5000 + "*d[1]", "1:1:"),  # the same, as a variable index
+        ("d[1]*²", "1:6:"),  # a superscript digit is not an integer
+        ("x²*d[1]", "1:1:"),
+    ],
+    ids=["long-literal", "long-index", "superscript-literal", "superscript-index"],
+)
+def test_bad_integer_literals_exit_2(capsys, op, where):
+    assert run_command(["symbol", "--op", op]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where} ") and "Traceback" not in err

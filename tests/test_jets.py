@@ -6,6 +6,8 @@ from jetforge.errors import DimensionMismatch, OrderTooHigh
 from jetforge.jets import (
     JetSpec,
     JetVector,
+    _tree,
+    bump,
     enumerate_multiindices,
     jet_dimension,
     project,
@@ -110,3 +112,17 @@ def test_json_round_trip():
     assert data["entries"][0] == {"alpha": [0, 0], "re": "0", "im": "0"}
     assert data["entries"][1] == {"alpha": [1, 0], "re": "1/3", "im": "-2"}
     assert JetVector.from_json_dict(data) == jet
+
+
+def test_tree_walk_visits_each_index_once_after_its_parent():
+    for m in (1, 2, 3):
+        for k in (0, 1, 2, 3, 4):
+            walk = _tree(m, k)
+            alphas = [alpha for alpha, _, _ in walk]
+            assert alphas == enumerate_multiindices(m, k)[1:]
+            seen = {(0,) * m}
+            for alpha, parent, i in walk:
+                assert parent in seen
+                assert bump(parent, i) == alpha
+                assert all(a == 0 for a in alpha[: i - 1])
+                seen.add(alpha)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetforge.algebra import MultiPoly, evaluate, taylor_jet
+from jetforge.algebra import MultiPoly, evaluate, hermite_interpolate, taylor_jet
 from jetforge.errors import DimensionMismatch, DuplicatePoints, UnsolvableError
 from jetforge.jets import JetVector, enumerate_multiindices
 from jetforge.scalar import Scalar
@@ -13,6 +13,8 @@ from jetforge.solver import (
     lift_jet,
     membership_I,
     pcp_check,
+    residual_vanishes,
+    solve,
     solve_at_points,
     solve_to_order,
 )
@@ -210,6 +212,71 @@ def test_multi_point_reports_failing_point():
     with pytest.raises(UnsolvableError) as err:
         solve_at_points(x_ddx(), MultiPoly.constant(1, 1), [good, bad], 0)
     assert err.value.point == bad
+
+
+def test_multi_point_rhs_dimension_checked():
+    with pytest.raises(DimensionMismatch, match="right-hand side in 3 variables"):
+        solve_at_points(ddx(), MultiPoly.variable(3, 1), [ZERO1], 0)
+
+
+# -- the shared solve core --------------------------------------------------
+
+def test_unsolvable_error_carries_lift_pivots():
+    sym = x_ddx()
+    g = MultiPoly.constant(1, 1)
+    for s in range(3):
+        expected = lift_jet(sym, ZERO1, taylor_jet(g, ZERO1, s)).pivots
+        for points in ([ZERO1], [(Fraction(1),), ZERO1]):
+            with pytest.raises(UnsolvableError) as err:
+                solve(sym, g, points, s)
+            assert err.value.point == ZERO1
+            assert err.value.pivots == expected
+
+
+def test_solution_records_one_lift_per_point():
+    points = [ZERO1, (Fraction(1),), (Fraction(-1, 2),)]
+    g = MultiPoly.variable(1, 1)
+    solution = solve(ddx(), g, points, 1)
+    assert solution.polynomial == solve_at_points(ddx(), g, points, 1)
+    assert solution.lifts == tuple(
+        lift_jet(ddx(), p, taylor_jet(g, p, 1)) for p in points
+    )
+
+
+def test_one_point_solve_equals_hermite_interpolant():
+    # guards the single-point branch: a one-point Hermite interpolant is
+    # exactly the Taylor polynomial that solve builds instead
+    rng = random.Random(53)
+    for _ in range(40):
+        m = rng.randint(1, 3)
+        r = rng.randint(0, 2)
+        s = rng.randint(0, 1)
+        x0 = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m))
+        top = [a for a in enumerate_multiindices(m, r) if sum(a) == r]
+        terms = {rng.choice(top): MultiPoly.constant(m, rng.choice([1, -1, 2]))}
+        if r:
+            terms[(0,) * m] = MultiPoly.variable(m, rng.randint(1, m))
+        sym = LinearSymbol(m, r, terms)
+        alphas = enumerate_multiindices(m, 3)
+        g = MultiPoly(
+            m, {rng.choice(alphas): Fraction(rng.randint(-3, 3)) for _ in range(2)}
+        )
+        solution = solve(sym, g, [x0], s)
+        (lifted,) = solution.lifts
+        assert solution.polynomial == hermite_interpolate([x0], [lifted.jet], r + s)
+
+
+def test_residual_vanishes_rejects_perturbed_solution():
+    g = MultiPoly.variable(3, 1)
+    points = [ORIGIN3, (Fraction(1), Fraction(0), Fraction(-1))]
+    f = solve_at_points(lewy_symbol(), g, points, 1)
+    assert residual_vanishes(lewy_symbol(), g, f, points, 1)
+    # x1^3 is flat to order 1 at the origin but not at (1, 0, -1)
+    bumped = f + MultiPoly.monomial(3, (3, 0, 0))
+    assert not residual_vanishes(lewy_symbol(), g, bumped, points, 1)
+    assert residual_vanishes(lewy_symbol(), g, bumped, points[:1], 1)
+    shifted = f + MultiPoly.variable(3, 1)  # P(x1) = 1 misses at every point
+    assert not residual_vanishes(lewy_symbol(), g, shifted, points[:1], 0)
 
 
 # -- rank reports -----------------------------------------------------------
