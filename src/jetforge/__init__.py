@@ -14,6 +14,7 @@ from .algebra import (
     evaluate,
     format_poly,
     hermite_interpolate,
+    jet_quotient,
     local_inverse_truncated,
     rational_point,
     taylor_jet,

@@ -2,8 +2,8 @@
 
 Polynomials are stored as ``multiindex -> Scalar`` maps with zero
 coefficients pruned; all operations are exact.  This module also carries
-the jet-level operations on polynomials: Taylor jets, truncated local
-inversion, and multi-point jet interpolation.
+the jet-level operations on polynomials: Taylor jets, jet quotients, and
+multi-point jet interpolation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import product
 
 from .errors import DimensionMismatch, DuplicatePoints, NotAUnit
 from .jets import JetVector, MultiIndex, _indices, _tree, factorial, graded_key, weight
-from .scalar import Scalar, as_fraction
+from .scalar import Scalar, as_fraction, power
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -174,14 +174,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
-        out = MultiPoly.constant(self.num_vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, MultiPoly.constant(self.num_vars, 1))
 
     def partial(self, i: int) -> "MultiPoly":
         """Exact partial derivative with respect to x_i (1-based)."""
@@ -286,11 +279,6 @@ def shift(p: MultiPoly, x0: RationalPoint) -> MultiPoly:
     return MultiPoly(p.num_vars, acc)
 
 
-def truncate(p: MultiPoly, k: int) -> MultiPoly:
-    """Drop all terms of total degree above k."""
-    return MultiPoly(p.num_vars, {a: c for a, c in p.terms.items() if weight(a) <= k})
-
-
 def taylor_jet(p: MultiPoly, x0: RationalPoint, k: int) -> JetVector:
     """The order-k jet of p at x0: raw derivatives D^alpha p(x0), |alpha| <= k."""
     if k < 0:
@@ -309,6 +297,12 @@ def taylor_jet(p: MultiPoly, x0: RationalPoint, k: int) -> JetVector:
     return JetVector(p.num_vars, k, entries)
 
 
+def _centred(jet: JetVector) -> dict[MultiIndex, Scalar]:
+    """Centred Taylor coefficients D^a f(x0)/a! of a jet, in graded-lex order."""
+    alphas = _indices(jet.base_dim, jet.order)
+    return {a: v / factorial(a) for a, v in zip(alphas, jet.entries)}
+
+
 def taylor_polynomial(jet: JetVector, x0: RationalPoint) -> MultiPoly:
     """The polynomial sum of jet[alpha]/alpha! * (x - x0)^alpha.
 
@@ -317,41 +311,37 @@ def taylor_polynomial(jet: JetVector, x0: RationalPoint) -> MultiPoly:
     m = jet.base_dim
     if len(x0) != m:
         raise DimensionMismatch(f"point of length {len(x0)} for dimension {m}")
-    centred = MultiPoly(
-        m,
-        {
-            alpha: v / factorial(alpha)
-            for alpha, v in zip(_indices(m, jet.order), jet.entries)
-        },
-    )
     back = tuple(-c for c in rational_point(x0))
-    return shift(centred, back)
+    return shift(MultiPoly(m, _centred(jet)), back)
+
+
+def jet_quotient(num: JetVector, den: JetVector) -> JetVector:
+    """The k-jet of f/g at a point from the k-jets of f and g there.
+
+    Solves the truncated Cauchy product num = q*den on centred coefficients
+    weight by weight in graded-lex order, so every q_b it uses is known
+    (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).
+    """
+    if num.spec != den.spec:
+        raise DimensionMismatch("jet specs differ")
+    g = _centred(den)
+    g0 = g.pop((0,) * den.base_dim)
+    if not g0:
+        raise NotAUnit("polynomial vanishes at the expansion point")
+    q: dict[MultiIndex, Scalar] = {}
+    for a, acc in _centred(num).items():
+        for b, gb in g.items():
+            qr = q.get(tuple(x - y for x, y in zip(a, b)))  # None unless b <= a
+            if qr and gb:
+                acc = acc - gb * qr
+        q[a] = acc / g0
+    return JetVector(num.base_dim, num.order, [v * factorial(a) for a, v in q.items()])
 
 
 def local_inverse_truncated(p: MultiPoly, x0: RationalPoint, k: int) -> MultiPoly:
-    """Degree <= k polynomial q with jet_k(p*q - 1, x0) = 0.
-
-    Geometric-series inversion of the recentred polynomial; requires
-    p(x0) != 0.
-    """
-    if k < 0:
-        raise ValueError("truncation order must be >= 0")
-    c0 = p.evaluate(x0)
-    if not c0:
-        raise NotAUnit("polynomial vanishes at the expansion point")
-    # only the k-jet of p matters for a degree <= k inverse
-    centred = truncate(shift(p, x0), k)
-    tail = (centred - c0) * (Scalar(1) / c0)
-    series = MultiPoly.constant(p.num_vars, 1)
-    power = MultiPoly.constant(p.num_vars, 1)
-    for _ in range(k):
-        power = truncate(power * (-tail), k)
-        if not power:
-            break
-        series = series + power
-    series = series * (Scalar(1) / c0)
-    back = tuple(-c for c in rational_point(x0))
-    return shift(series, back)
+    """Degree <= k polynomial q with jet_k(p*q - 1, x0) = 0; needs p(x0) != 0."""
+    one = JetVector.from_mapping(p.num_vars, k, {(0,) * p.num_vars: 1})
+    return taylor_polynomial(jet_quotient(one, taylor_jet(p, x0, k)), x0)
 
 
 def _norm_squared(m: int, x0: RationalPoint) -> MultiPoly:
@@ -367,9 +357,9 @@ def hermite_interpolate(points, jets, k: int) -> MultiPoly:
     """Polynomial matching a prescribed order-k jet at each of several points.
 
     Each point x_j gets a bump polynomial B_j that equals 1 at x_j and
-    vanishes to order >= k+1 at every other point; the jet data is carried
-    by a degree <= k factor corrected with the truncated local inverse of
-    B_j.  The result matches every prescribed jet exactly.
+    vanishes to order >= k+1 at every other point; it is multiplied by the
+    degree <= k polynomial whose k-jet at x_j is jet_j / jet(B_j).  The
+    result matches every prescribed jet exactly.
     """
     points = distinct_points(points)
     m = len(points[0])
@@ -393,10 +383,8 @@ def hermite_interpolate(points, jets, k: int) -> MultiPoly:
             nsq = _norm_squared(m, pl)
             denom = nsq.evaluate(pj)
             bump_poly = bump_poly * (nsq * (Scalar(1) / denom)) ** (k + 1)
-        inv = local_inverse_truncated(bump_poly, pj, k)
-        target = taylor_polynomial(jet, pj)
-        corrected = taylor_polynomial(taylor_jet(target * inv, pj, k), pj)
-        result = result + corrected * bump_poly
+        local = jet_quotient(jet, taylor_jet(bump_poly, pj, k))
+        result = result + taylor_polynomial(local, pj) * bump_poly
     return result
 
 

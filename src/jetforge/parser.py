@@ -21,15 +21,17 @@ nonlinear symbol body.  The literal ``i`` is the imaginary unit.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .algebra import MultiPoly, rational_point
+from .algebra import MultiPoly
 from .errors import ParseError
 from .jets import MultiIndex, _index_of, jet_dimension, weight
-from .scalar import Scalar
+from .scalar import Scalar, power
 from .symbols import GeneralSymbol, LinearSymbol
 
 _PUNCT = set("+-*/^()[],")
+_COORDINATE = re.compile(r"([+-]?\d+)(?:/(\d+))?")  # \d is str.isdecimal
 
 
 class _Token:
@@ -144,14 +146,7 @@ class _Expr:
         return _Expr(out)
 
     def __pow__(self, n: int):
-        out = _Expr.const(Scalar(1))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, _Expr.const(Scalar(1)))
 
 
 class _Parser:
@@ -468,12 +463,17 @@ def parse_operator(text: str, dim=None, order=None):
 
 
 def parse_point(text: str):
-    """Parse a comma-separated rational point like ``0,1/2,-3``."""
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        return rational_point(parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad point {text!r}: {exc}", 1, 1) from None
+    """Parse a comma-separated rational point like ``0,1/2,-3``: each
+    coordinate is ``[+|-]INT[/INT]`` in decimal digits (no ``0.5``, ``1e3``)."""
+    coords = []
+    for part in (p.strip() for p in text.split(",")):
+        match = _COORDINATE.fullmatch(part)
+        den = match and _int(match[2] or "1", 1, 1)  # None or 0: refused
+        if not den:
+            message = f"bad coordinate {part!r} in point {text!r}"
+            raise ParseError(f"{message} (expected p or p/q, q nonzero)", 1, 1)
+        coords.append(Fraction(_int(match[1], 1, 1), den))
+    return tuple(coords)
 
 
 def parse_pdo(text: str):
@@ -491,14 +491,14 @@ def parse_pdo(text: str):
         len(header) != 4
         or header[0] != "dim"
         or header[2] != "order"
-        or not header[1].isdigit()
-        or not header[3].isdigit()
+        or not header[1].isdecimal()
+        or not header[3].isdecimal()
     ):
         raise ParseError(
             "first line must read 'dim m order r'", header_index + 1, 1
         )
-    m = int(header[1])
-    r = int(header[3])
+    m = _int(header[1], header_index + 1, 1)
+    r = _int(header[3], header_index + 1, 1)
     if m < 1:
         raise ParseError("dimension must be >= 1", header_index + 1, 1)
     body = "\n".join(

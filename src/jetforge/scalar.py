@@ -19,6 +19,18 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def power(base, n: int, one):
+    """base**n (n >= 0) by square-and-multiply, never squaring past n's top bit."""
+    out = one
+    while True:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
+
+
 class Scalar:
     """A Gaussian rational.  Treat instances as immutable."""
 
@@ -109,14 +121,7 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("Scalar powers take nonnegative integer exponents")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, ONE)
 
     def __repr__(self):
         return f"Scalar({self.re}, {self.im})"

@@ -1,20 +1,23 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gluing_oracle
+from gluing_oracle import truncate
 from jetforge.algebra import (
     MultiPoly,
     derivative,
     evaluate,
     format_poly,
     hermite_interpolate,
+    jet_quotient,
     local_inverse_truncated,
     shift,
     taylor_jet,
     taylor_polynomial,
-    truncate,
 )
 from jetforge.errors import DimensionMismatch, DuplicatePoints, NotAUnit
 from jetforge.jets import JetVector, enumerate_multiindices, jet_dimension
@@ -219,6 +222,53 @@ def test_local_inverse_random_multiply_back():
         assert taylor_jet(p * q - 1, x0, k).is_zero
 
 
+@given(st.integers(1, 3).flatmap(
+    lambda m: st.tuples(polys(m), st.tuples(*[rationals] * m), st.integers(0, 3))
+))
+@settings(max_examples=60)
+def test_local_inverse_matches_geometric_series_oracle(case):
+    p, x0, k = case
+    if not p.evaluate(x0):
+        p = p + 1
+    assert local_inverse_truncated(p, x0, k) == gluing_oracle.local_inverse_truncated(
+        p, x0, k
+    )
+
+
+# -- jet quotient -------------------------------------------------------------
+
+def test_jet_quotient_requires_unit_denominator():
+    num = JetVector(2, 1, [1, 2, 3])
+    with pytest.raises(NotAUnit):
+        jet_quotient(num, JetVector(2, 1, [0, 1, 1]))
+
+
+def test_jet_quotient_requires_equal_specs():
+    with pytest.raises(DimensionMismatch):
+        jet_quotient(JetVector(2, 1, [1, 2, 3]), JetVector(2, 2, [1] * 6))
+    with pytest.raises(DimensionMismatch):
+        jet_quotient(JetVector(1, 2, [1, 2, 3]), JetVector(2, 1, [1, 2, 3]))
+
+
+def test_jet_quotient_multiplies_back():
+    rng = random.Random(17)
+
+    def value():
+        re = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return Scalar(re, rng.randint(-2, 2))
+
+    for _ in range(40):
+        m, k = rng.randint(1, 3), rng.randint(0, 3)
+        x0 = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m))
+        size = jet_dimension(m, k)
+        num = JetVector(m, k, [value() for _ in range(size)])
+        unit = value() or Scalar(1)
+        den = JetVector(m, k, [unit] + [value() for _ in range(size - 1)])
+        q = jet_quotient(num, den)
+        product = taylor_polynomial(q, x0) * taylor_polynomial(den, x0)
+        assert taylor_jet(product, x0, k) == num
+
+
 # -- jet interpolation ------------------------------------------------------
 
 def test_single_point_is_taylor_polynomial():
@@ -265,6 +315,43 @@ def test_interpolation_random_exactness():
         f = hermite_interpolate(pts, jets, k)
         for p, jet in zip(pts, jets):
             assert taylor_jet(f, p, k) == jet
+
+
+# every base dimension, jet order and point count is drawn; shapes whose
+# interpolant has more than 300 possible terms (bump degree 2(k+1)(n-1)) are
+# left out to keep the oracle within seconds (it takes a minute on m=3, k=3
+# at 4 points)
+GLUE_SHAPES = [
+    (m, k, n)
+    for m in range(1, 4)
+    for k in range(4)
+    for n in range(1, 5)
+    if math.comb(2 * (k + 1) * (n - 1) + k + m, m) <= 300
+]
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def gluing_problems(draw):
+    m, k, n = draw(st.sampled_from(GLUE_SHAPES))
+    points = draw(
+        st.lists(st.tuples(*[small_rationals] * m), min_size=n, max_size=n, unique=True)
+    )
+    size = jet_dimension(m, k)
+    jets = [
+        JetVector(m, k, draw(st.lists(scalars, min_size=size, max_size=size)))
+        for _ in points
+    ]
+    return points, jets, k
+
+
+@given(gluing_problems())
+@settings(max_examples=40)
+def test_interpolation_matches_polynomial_inverse_oracle(problem):
+    points, jets, k = problem
+    assert hermite_interpolate(points, jets, k) == gluing_oracle.hermite_interpolate(
+        points, jets, k
+    )
 
 
 # -- printing ---------------------------------------------------------------

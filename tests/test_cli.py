@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -285,6 +286,29 @@ def test_solve_multi_pinned_polynomial(capsys, schema, tmp_path):
     assert report["post_check"] == "exact"
 
 
+def test_solve_multi_pinned_lewy_three_points(capsys, schema, lewy_file, tmp_path):
+    # multi-variable gluing: 3 bumps in R^3, jets of order 2; the digest and
+    # the leading terms were captured before gluing moved to jet quotients
+    points = tmp_path / "points.txt"
+    points.write_text("0,0,0\n1,0,0\n0,1/2,1\n")
+    code, report = run_json(
+        capsys,
+        [
+            "solve-multi", "--op", lewy_file,
+            "--points-file", str(points), "--order", "1", "--rhs", "x1",
+        ],
+    )
+    assert code == 0
+    jsonschema.validate(report, schema)
+    text = report["polynomial"]
+    assert text.startswith("1/2*x1^2 - 3*x1^3 - 6/5*x1^2*x2 - 12/5*x1^2*x3 + ")
+    assert len(text) == 15122
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0cab8367f43b4fd48ebd700f447494e20d9504e4d70dbed47ea1b0acae2453eb"
+    )
+    assert report["post_check"] == "exact"
+
+
 # -- hostile input exits 2 with a located message ---------------------------
 
 def test_pdo_zero_dimension_exits_2(capsys, tmp_path):
@@ -310,3 +334,54 @@ def test_bad_integer_literals_exit_2(capsys, op, where):
     assert run_command(["symbol", "--op", op]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where} ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("dim \u00b2 order 1", "first line must read 'dim m order r'"),
+        ("dim 1 order " + "1" * 5000, "integer too long (5000 digits)"),
+        ("dim " + "1" * 5000 + " order 1", "integer too long (5000 digits)"),
+    ],
+    ids=["superscript-dim", "long-order", "long-dim"],
+)
+def test_pdo_bad_header_numbers_exit_2(capsys, tmp_path, header, message):
+    path = tmp_path / "bad.pdo"
+    path.write_text(f"# comment\n{header}\nd[1]\n", encoding="utf-8")
+    assert run_command(["symbol", "--op", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: 2:1: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ("1e100000", "bad coordinate '1e100000'"),
+        ("0.5", "bad coordinate '0.5'"),
+        ("1/0", "bad coordinate '1/0'"),
+        ("0,1/2,-3.0", "bad coordinate '-3.0'"),
+        ("1" * 5000, "integer too long (5000 digits)"),
+    ],
+    ids=["exponent", "decimal", "zero-denominator", "one-bad-of-three", "long"],
+)
+def test_bad_point_coordinates_exit_2(capsys, point, message):
+    assert run_command(["vanish", "--op", "x1^2*d[1]", f"--point={point}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: 1:1: {message}") and "Traceback" not in err
+
+
+def test_points_file_coordinates_use_the_same_grammar(capsys, tmp_path):
+    points = tmp_path / "points.txt"
+    points.write_text("0\n0.5\n")
+    argv = ["solve-multi", "--op", "d[1]", "--points-file", str(points),
+            "--order", "0", "--rhs", "1"]
+    assert run_command(argv) == 2
+    assert "bad coordinate '0.5'" in capsys.readouterr().err
+
+
+def test_signed_rational_point_parses(capsys):
+    code, report = run_json(capsys, ["vanish", "--op", "x1*d[1]", "--point=-5/3"])
+    assert code == 0
+    assert report["point"] == ["-5/3"]
+    code, report = run_json(capsys, ["vanish", "--op", "x1*d[1]", "--point=+5/3"])
+    assert report["point"] == ["5/3"]
