@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import DimensionMismatch, DuplicatePoints, NotAUnit
-from .jets import JetVector, MultiIndex, _indices, _tree, factorial, graded_key, weight
+from .jets import JetVector, MultiIndex, _indices, factorial, graded_key, weight
 from .scalar import Scalar, as_fraction, power
 
 RationalPoint = tuple[Fraction, ...]
@@ -31,7 +31,7 @@ def distinct_points(points) -> list[RationalPoint]:
         raise ValueError("need at least one point")
     for a, p in enumerate(pts):
         if p in pts[a + 1 :]:
-            raise DuplicatePoints(f"point {p} repeated")
+            raise DuplicatePoints(f"point ({', '.join(map(str, p))}) repeated")
     return pts
 
 
@@ -247,53 +247,51 @@ def evaluate(p: MultiPoly, x0: RationalPoint) -> Scalar:
     return p.evaluate(x0)
 
 
-def shift(p: MultiPoly, x0: RationalPoint) -> MultiPoly:
-    """Recentre: returns q with q(u) = p(u + x0)."""
+def _recentred(p: MultiPoly, x0: RationalPoint, k: int) -> dict[MultiIndex, Scalar]:
+    """Coefficients of weight <= k of q(u) = p(u + x0), which are D^a p(x0)/a!.
+
+    Binomial expansion of every term, with each variable's exponent range
+    cut at min(e, k) so nothing above weight k is built.
+    """
     if len(x0) != p.num_vars:
         raise DimensionMismatch(
             f"point of length {len(x0)} for {p.num_vars} variables"
         )
     coords = rational_point(x0)
-    if not any(coords):
-        return p
     acc: dict[MultiIndex, Scalar] = {}
     for alpha, coeff in p.terms.items():
         per_var = []
         for e, c in zip(alpha, coords):
             if e == 0 or c == 0:
-                per_var.append([(e, Fraction(1))])
+                per_var.append([(e, 1)])
             else:
                 per_var.append(
-                    [(t, Fraction(math.comb(e, t)) * c ** (e - t)) for t in range(e + 1)]
+                    [(t, math.comb(e, t) * c ** (e - t)) for t in range(min(e, k) + 1)]
                 )
         for combo in product(*per_var):
             key = tuple(t for t, _ in combo)
-            f = Fraction(1)
-            for _, w in combo:
-                f *= w
-            s = acc.get(key, Scalar()) + coeff * f
+            if sum(key) > k:
+                continue
+            s = acc.get(key, Scalar()) + coeff * math.prod(w for _, w in combo)
             if s:
                 acc[key] = s
             else:
                 acc.pop(key, None)
-    return MultiPoly(p.num_vars, acc)
+    return acc
+
+
+def shift(p: MultiPoly, x0: RationalPoint) -> MultiPoly:
+    """Recentre: returns q with q(u) = p(u + x0)."""
+    return MultiPoly(p.num_vars, _recentred(p, x0, max(p.degree, 0)))
 
 
 def taylor_jet(p: MultiPoly, x0: RationalPoint, k: int) -> JetVector:
     """The order-k jet of p at x0: raw derivatives D^alpha p(x0), |alpha| <= k."""
     if k < 0:
         raise ValueError("jet order must be >= 0")
-    if len(x0) != p.num_vars:
-        raise DimensionMismatch(
-            f"point of length {len(x0)} for {p.num_vars} variables"
-        )
-    point = rational_point(x0)
-    # walk the multiindex tree so each D^alpha p is derived once
-    derivatives: dict[MultiIndex, MultiPoly] = {(0,) * p.num_vars: p}
-    entries = [p.evaluate(point)]
-    for alpha, parent, i in _tree(p.num_vars, k):
-        derivatives[alpha] = derivatives[parent].partial(i)
-        entries.append(derivatives[alpha].evaluate(point))
+    centred = _recentred(p, x0, k)
+    zero = Scalar()
+    entries = [centred.get(a, zero) * factorial(a) for a in _indices(p.num_vars, k)]
     return JetVector(p.num_vars, k, entries)
 
 
@@ -356,9 +354,10 @@ def _norm_squared(m: int, x0: RationalPoint) -> MultiPoly:
 def hermite_interpolate(points, jets, k: int) -> MultiPoly:
     """Polynomial matching a prescribed order-k jet at each of several points.
 
-    Each point x_j gets a bump polynomial B_j that equals 1 at x_j and
-    vanishes to order >= k+1 at every other point; it is multiplied by the
-    degree <= k polynomial whose k-jet at x_j is jet_j / jet(B_j).  The
+    Each point x_j gets the bump B_j = prod_{l != j} ||x - x_l||^(2(k+1)),
+    which is nonzero at x_j and vanishes to order >= k+1 at every other
+    point; it is multiplied by the degree <= k polynomial whose k-jet at x_j
+    is jet_j / jet(B_j), so a constant factor of B_j would cancel.  The
     result matches every prescribed jet exactly.
     """
     points = distinct_points(points)
@@ -374,15 +373,13 @@ def hermite_interpolate(points, jets, k: int) -> MultiPoly:
                 f"jets must have dimension {m} and order {k}"
             )
 
+    powers = [_norm_squared(m, p) ** (k + 1) for p in points]
     result = MultiPoly.zero(m)
     for j, (pj, jet) in enumerate(zip(points, jets)):
         bump_poly = MultiPoly.constant(m, 1)
-        for l, pl in enumerate(points):
-            if l == j:
-                continue
-            nsq = _norm_squared(m, pl)
-            denom = nsq.evaluate(pj)
-            bump_poly = bump_poly * (nsq * (Scalar(1) / denom)) ** (k + 1)
+        for l, power_l in enumerate(powers):
+            if l != j:
+                bump_poly = bump_poly * power_l
         local = jet_quotient(jet, taylor_jet(bump_poly, pj, k))
         result = result + taylor_polynomial(local, pj) * bump_poly
     return result

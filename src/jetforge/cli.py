@@ -262,10 +262,10 @@ def _read_points_file(path_text: str):
     except OSError as exc:
         raise JetforgeError(f"cannot read points file: {exc}") from None
     points = []
-    for line in raw.splitlines():
+    for number, line in enumerate(raw.splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
-            points.append(parse_point(line))
+            points.append(parse_point(line, number))
     if not points:
         raise JetforgeError("points file contains no points")
     return points

@@ -462,17 +462,18 @@ def parse_operator(text: str, dim=None, order=None):
     return _build_linear(expr, dim, order, max_x, d_arities)
 
 
-def parse_point(text: str):
+def parse_point(text: str, line: int = 1):
     """Parse a comma-separated rational point like ``0,1/2,-3``: each
-    coordinate is ``[+|-]INT[/INT]`` in decimal digits (no ``0.5``, ``1e3``)."""
+    coordinate is ``[+|-]INT[/INT]`` in decimal digits (no ``0.5``, ``1e3``).
+    ``line`` is the source line errors report."""
     coords = []
     for part in (p.strip() for p in text.split(",")):
         match = _COORDINATE.fullmatch(part)
-        den = match and _int(match[2] or "1", 1, 1)  # None or 0: refused
+        den = match and _int(match[2] or "1", line, 1)  # None or 0: refused
         if not den:
             message = f"bad coordinate {part!r} in point {text!r}"
-            raise ParseError(f"{message} (expected p or p/q, q nonzero)", 1, 1)
-        coords.append(Fraction(_int(match[1], 1, 1), den))
+            raise ParseError(f"{message} (expected p or p/q, q nonzero)", line, 1)
+        coords.append(Fraction(_int(match[1], line, 1), den))
     return tuple(coords)
 
 

@@ -122,7 +122,8 @@ def apply_operator(sym: LinearSymbol, f: MultiPoly) -> MultiPoly:
     return out
 
 
-def _total_derivative_impl(sym: LinearSymbol, i: int) -> LinearSymbol:
+@lru_cache(maxsize=4096)
+def _total_derivative_cached(sym: LinearSymbol, i: int) -> LinearSymbol:
     out: dict[MultiIndex, MultiPoly] = {}
 
     def _accumulate(alpha, poly):
@@ -139,11 +140,6 @@ def _total_derivative_impl(sym: LinearSymbol, i: int) -> LinearSymbol:
         _accumulate(alpha, coeff.partial(i))
         _accumulate(bump(alpha, i), coeff)
     return LinearSymbol(sym.base_dim, sym.order + 1, out)
-
-
-@lru_cache(maxsize=4096)
-def _total_derivative_cached(sym: LinearSymbol, i: int) -> LinearSymbol:
-    return _total_derivative_impl(sym, i)
 
 
 def total_derivative(sym: LinearSymbol, i: int) -> LinearSymbol:

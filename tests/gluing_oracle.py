@@ -2,26 +2,87 @@
 
 ``local_inverse_truncated`` inverts the recentred, truncated polynomial
 by a geometric series in full polynomial arithmetic, and
-``hermite_interpolate`` multiplies that inverse by the realized target
-jet and differentiates the product back into a jet.  The jet-quotient
-code must return equal polynomials.
+``hermite_interpolate`` normalises each bump to 1 at its point, multiplies
+that inverse by the realized target jet and differentiates the product
+back into a jet.  ``shift`` recentres by full binomial expansion and
+``taylor_jet`` builds one derivative polynomial per multiindex, so the
+oracle shares no recentring code with jetforge.  The truncated
+recentring and jet-quotient code must return equal polynomials.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from itertools import product
+
 from jetforge.algebra import (
     MultiPoly,
     RationalPoint,
+    _centred,
     _norm_squared,
     distinct_points,
     rational_point,
-    shift,
-    taylor_jet,
-    taylor_polynomial,
 )
 from jetforge.errors import DimensionMismatch, NotAUnit
-from jetforge.jets import weight
+from jetforge.jets import JetVector, MultiIndex, _tree, weight
 from jetforge.scalar import Scalar
+
+
+def shift(p: MultiPoly, x0: RationalPoint) -> MultiPoly:
+    """Recentre: returns q with q(u) = p(u + x0)."""
+    if len(x0) != p.num_vars:
+        raise DimensionMismatch(
+            f"point of length {len(x0)} for {p.num_vars} variables"
+        )
+    coords = rational_point(x0)
+    if not any(coords):
+        return p
+    acc: dict[MultiIndex, Scalar] = {}
+    for alpha, coeff in p.terms.items():
+        per_var = []
+        for e, c in zip(alpha, coords):
+            if e == 0 or c == 0:
+                per_var.append([(e, Fraction(1))])
+            else:
+                per_var.append(
+                    [(t, Fraction(math.comb(e, t)) * c ** (e - t)) for t in range(e + 1)]
+                )
+        for combo in product(*per_var):
+            key = tuple(t for t, _ in combo)
+            f = Fraction(1)
+            for _, w in combo:
+                f *= w
+            s = acc.get(key, Scalar()) + coeff * f
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+    return MultiPoly(p.num_vars, acc)
+
+
+def taylor_jet(p: MultiPoly, x0: RationalPoint, k: int) -> JetVector:
+    """The order-k jet of p at x0: raw derivatives D^alpha p(x0), |alpha| <= k."""
+    if k < 0:
+        raise ValueError("jet order must be >= 0")
+    if len(x0) != p.num_vars:
+        raise DimensionMismatch(
+            f"point of length {len(x0)} for {p.num_vars} variables"
+        )
+    point = rational_point(x0)
+    # walk the multiindex tree so each D^alpha p is derived once
+    derivatives: dict[MultiIndex, MultiPoly] = {(0,) * p.num_vars: p}
+    entries = [p.evaluate(point)]
+    for alpha, parent, i in _tree(p.num_vars, k):
+        derivatives[alpha] = derivatives[parent].partial(i)
+        entries.append(derivatives[alpha].evaluate(point))
+    return JetVector(p.num_vars, k, entries)
+
+
+def taylor_polynomial(jet: JetVector, x0: RationalPoint) -> MultiPoly:
+    """The polynomial sum of jet[alpha]/alpha! * (x - x0)^alpha, by ``shift``."""
+    back = tuple(-c for c in rational_point(x0))
+    return shift(MultiPoly(jet.base_dim, _centred(jet)), back)
 
 
 def truncate(p: MultiPoly, k: int) -> MultiPoly:

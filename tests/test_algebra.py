@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gluing_oracle
 from gluing_oracle import truncate
@@ -177,6 +177,43 @@ def test_shift_recentres():
     p = poly(1, {(2,): 1})
     q = shift(p, frac_point(1))  # (u+1)^2 = u^2 + 2u + 1
     assert q == poly(1, {(0,): 1, (1,): 2, (2,): 1})
+
+
+# m 1-3, degree <= 6 (so k up to 4 is often above the degree), complex
+# coefficients, the origin as one point strategy; the zero polynomial and
+# the origin are also pinned as examples
+recentring_cases = st.integers(1, 3).flatmap(
+    lambda m: st.tuples(
+        polys(m, max_deg=6),
+        st.just((Fraction(0),) * m) | st.tuples(*[rationals] * m),
+        st.integers(0, 4),
+    )
+)
+
+
+@given(recentring_cases)
+@example((MultiPoly.zero(2), frac_point(1, -2), 3))
+@example((poly(3, {(2, 0, 1): Scalar(1, -1)}), frac_point(0, 0, 0), 4))
+@settings(max_examples=80)
+def test_taylor_jet_matches_tree_walk_oracle(case):
+    p, x0, k = case
+    assert taylor_jet(p, x0, k) == gluing_oracle.taylor_jet(p, x0, k)
+
+
+@given(recentring_cases)
+@example((MultiPoly.zero(1), frac_point(3), 0))
+@example((poly(2, {(1, 2): Scalar(0, 1), (0, 0): 2}), frac_point(0, 0), 0))
+@settings(max_examples=80)
+def test_shift_matches_full_expansion_oracle(case):
+    p, x0, _ = case
+    assert shift(p, x0) == gluing_oracle.shift(p, x0)
+
+
+@given(recentring_cases)
+@settings(max_examples=60)
+def test_shift_round_trip(case):
+    p, x0, _ = case
+    assert shift(shift(p, x0), tuple(-c for c in x0)) == p
 
 
 def test_truncate_drops_high_degree():

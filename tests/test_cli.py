@@ -379,6 +379,32 @@ def test_points_file_coordinates_use_the_same_grammar(capsys, tmp_path):
     assert "bad coordinate '0.5'" in capsys.readouterr().err
 
 
+def test_points_file_error_reports_its_file_line(capsys, tmp_path):
+    points = tmp_path / "points.txt"
+    points.write_text("0\n0.5\n")
+    argv = ["solve-multi", "--op", "d[1]", "--points-file", str(points),
+            "--order", "0", "--rhs", "1"]
+    assert run_command(argv) == 2
+    assert "error: 2:1: bad coordinate '0.5'" in capsys.readouterr().err
+    # comments and blank lines still count as file lines
+    points.write_text("# header\n\n0\n1/0\n")
+    assert run_command(argv) == 2
+    assert "error: 4:1: bad coordinate '1/0'" in capsys.readouterr().err
+
+
+def test_repeated_points_are_reported_like_report_points(capsys, tmp_path):
+    points = tmp_path / "points.txt"
+    points.write_text("0\n0\n")
+    argv = ["solve-multi", "--op", "d[1]", "--points-file", str(points),
+            "--order", "0", "--rhs", "1"]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err.strip() == "error: point (0) repeated"
+    points.write_text("0,1/2\n1,0\n0,2/4\n")
+    argv[2] = "d[1,0]"
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err.strip() == "error: point (0, 1/2) repeated"
+
+
 def test_signed_rational_point_parses(capsys):
     code, report = run_json(capsys, ["vanish", "--op", "x1*d[1]", "--point=-5/3"])
     assert code == 0

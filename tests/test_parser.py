@@ -200,6 +200,16 @@ def test_parse_point_rejects_garbage():
         parse_point("1,two")
 
 
+def test_parse_point_errors_carry_the_given_line():
+    with pytest.raises(ParseError) as info:
+        parse_point("1,two", 7)
+    assert (info.value.line, info.value.column) == (7, 1)
+    assert str(info.value).startswith("7:1: bad coordinate 'two'")
+    with pytest.raises(ParseError) as info:
+        parse_point("1" * 5000, 3)
+    assert str(info.value).startswith("3:1: integer too long")
+
+
 # -- .pdo files --------------------------------------------------------------
 
 LEWY_PDO = """\
