@@ -14,7 +14,7 @@ from itertools import product
 
 from .errors import DimensionMismatch, DuplicatePoints, NotAUnit
 from .jets import JetVector, MultiIndex, _indices, factorial, graded_key, weight
-from .scalar import Scalar, as_fraction, power
+from .scalar import ONE, Scalar, as_fraction, power
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -49,7 +49,7 @@ class MultiPoly:
         clean: dict[MultiIndex, Scalar] = {}
         for alpha, coeff in (terms or {}).items():
             alpha = tuple(alpha)
-            if len(alpha) != num_vars or any(a < 0 for a in alpha):
+            if len(alpha) != num_vars or min(alpha) < 0:
                 raise DimensionMismatch(
                     f"exponent {alpha} invalid for {num_vars} variables"
                 )
@@ -59,6 +59,14 @@ class MultiPoly:
         self.num_vars = num_vars
         self.terms = clean
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, num_vars: int, terms: dict) -> "MultiPoly":
+        """Wrap terms already known valid: exponents of length num_vars,
+        nonzero Scalar coefficients (the results of the operations below)."""
+        out = object.__new__(cls)
+        out.num_vars, out.terms, out._hash = num_vars, terms, None
+        return out
 
     @classmethod
     def zero(cls, num_vars: int) -> "MultiPoly":
@@ -74,7 +82,7 @@ class MultiPoly:
         if not 1 <= i <= num_vars:
             raise DimensionMismatch(f"variable index {i} outside 1..{num_vars}")
         alpha = tuple(1 if j == i - 1 else 0 for j in range(num_vars))
-        return cls(num_vars, {alpha: Scalar(1)})
+        return cls._trusted(num_vars, {alpha: ONE})
 
     @classmethod
     def monomial(cls, num_vars: int, alpha: MultiIndex, coeff=1) -> "MultiPoly":
@@ -130,12 +138,14 @@ class MultiPoly:
                 out[alpha] = s
             else:
                 out.pop(alpha, None)
-        return MultiPoly(self.num_vars, out)
+        return MultiPoly._trusted(self.num_vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.num_vars, {a: -c for a, c in self.terms.items()})
+        return MultiPoly._trusted(
+            self.num_vars, {a: -c for a, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -152,7 +162,7 @@ class MultiPoly:
             c = Scalar.coerce(other)
             if not c:
                 return MultiPoly(self.num_vars)
-            return MultiPoly(
+            return MultiPoly._trusted(
                 self.num_vars, {a: v * c for a, v in self.terms.items()}
             )
         if not isinstance(other, MultiPoly):
@@ -167,7 +177,7 @@ class MultiPoly:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return MultiPoly(self.num_vars, out)
+        return MultiPoly._trusted(self.num_vars, out)
 
     __rmul__ = __mul__
 

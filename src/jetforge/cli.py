@@ -12,6 +12,7 @@ prolongation level a command may request.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -426,10 +427,13 @@ _HANDLERS = {
 }
 
 
+# built once per process: parse_args keeps no state between calls
+_arg_parser = functools.cache(build_arg_parser)
+
+
 def run_command(argv) -> int:
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _arg_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -23,28 +23,25 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
+from typing import NamedTuple
 
 from .algebra import MultiPoly
 from .errors import ParseError
 from .jets import MultiIndex, _index_of, jet_dimension, weight
-from .scalar import Scalar, power
+from .scalar import Scalar
 from .symbols import GeneralSymbol, LinearSymbol
 
 _PUNCT = set("+-*/^()[],")
 _COORDINATE = re.compile(r"([+-]?\d+)(?:/(\d+))?")  # \d is str.isdecimal
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.value!r})"
+class _Token(NamedTuple):
+    kind: str
+    value: object
+    line: int
+    column: int
 
 
 def _int(digits: str, line: int, column: int) -> int:
@@ -63,13 +60,8 @@ def _tokenize(text: str) -> list[_Token]:
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
         if ch.isspace():
-            col += 1
+            line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
             i += 1
             continue
         if ch.isdecimal():
@@ -96,63 +88,43 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-# Intermediate sparse polynomial over markers: ('x', j), ('d', alpha),
-# ('y', alpha).  Keys are sorted tuples of (marker, exponent) pairs.
-_ZERO = Scalar()
-
-
-class _Expr:
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms or {}
-
-    @classmethod
-    def const(cls, c: Scalar) -> "_Expr":
-        if not c:
-            return cls()
-        return cls({(): c})
-
-    @classmethod
-    def marker(cls, mk) -> "_Expr":
-        return cls({((mk, 1),): Scalar(1)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, _ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _Expr(out)
-
-    def __neg__(self):
-        return _Expr({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                merged = dict(k1)
-                for mk, e in k2:
-                    merged[mk] = merged.get(mk, 0) + e
-                key = tuple(sorted(merged.items()))
-                s = out.get(key, _ZERO) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return _Expr(out)
-
-    def __pow__(self, n: int):
-        return power(self, n, _Expr.const(Scalar(1)))
+# Syntax tree: ("const", Scalar), ("atom", key), ("+", [nodes]), ("-", node),
+# ("*", [nodes]) and ("^", node, n).  An atom key is ("x", j), ("d", alpha)
+# or ("y", alpha); _Parser.atoms maps each distinct key to its first token.
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.atoms: dict[tuple, _Token] = {}
+        self.terms: dict = {}  # set by expand
+        self.alive: list = []
+
+    def expand(self) -> "_Parser":
+        """Parse the whole text, then evaluate its tree once over the working
+        layout where atom k (in order of first appearance) is variable k+1:
+        ``terms`` maps exponent tuples to coefficients, and ``alive`` lists
+        the atoms that survive cancellation."""
+        tree = self.parse_expr()
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.fail(
+                f"unexpected trailing input {self.describe(tok)}",
+                expected=("eof",),
+            )
+        n = len(self.atoms)
+        variables = {
+            key: MultiPoly.variable(n, k) for k, key in enumerate(self.atoms, 1)
+        }
+        value = _evaluate(tree, variables)
+        if isinstance(value, MultiPoly):
+            self.terms = value.terms
+        elif value:
+            self.terms = {(0,) * n: value}
+        used = {k for alpha in self.terms for k, e in enumerate(alpha) if e}
+        self.alive = [key for k, key in enumerate(self.atoms) if k in used]
+        return self
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -179,34 +151,34 @@ class _Parser:
             )
         return self.advance()
 
-    def parse_expr(self) -> _Expr:
-        value = self.parse_term()
+    def parse_expr(self):
+        terms = [self.parse_term()]
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
-            rhs = self.parse_term()
-            value = value + (rhs if op == "+" else -rhs)
-        return value
+            term = self.parse_term()
+            terms.append(term if op == "+" else ("-", term))
+        return terms[0] if len(terms) == 1 else ("+", terms)
 
-    def parse_term(self) -> _Expr:
+    def parse_term(self):
         negate = False
         while self.peek().kind in ("+", "-"):
             if self.advance().kind == "-":
                 negate = not negate
-        value = self.parse_factor()
+        factors = [self.parse_factor()]
         while self.peek().kind == "*":
             self.advance()
-            value = value * self.parse_factor()
-        return -value if negate else value
+            factors.append(self.parse_factor())
+        node = factors[0] if len(factors) == 1 else ("*", factors)
+        return ("-", node) if negate else node
 
-    def parse_factor(self) -> _Expr:
+    def parse_factor(self):
         base = self.parse_atom()
         if self.peek().kind == "^":
             self.advance()
-            exponent = self.expect("int").value
-            base = base**exponent
+            base = ("^", base, self.expect("int").value)
         return base
 
-    def parse_atom(self) -> _Expr:
+    def parse_atom(self):
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
@@ -217,7 +189,7 @@ class _Parser:
                 if denom == 0:
                     self.fail("zero denominator")
                 value = Fraction(tok.value, denom)
-            return _Expr.const(Scalar(value))
+            return ("const", Scalar(value))
         if tok.kind == "(":
             self.advance()
             inner = self.parse_expr()
@@ -231,15 +203,14 @@ class _Parser:
             expected=("int", "ident", "("),
         )
 
-    def parse_ident(self) -> _Expr:
+    def parse_ident(self):
         tok = self.advance()
         name = tok.value
         if name == "i":
-            return _Expr.const(Scalar(0, 1))
+            return ("const", Scalar(0, 1))
         if name in ("d", "y"):
-            alpha = self.parse_slot()
-            return _Expr.marker((name, alpha))
-        if name.startswith("x") and name[1:].isdecimal():
+            key = (name, self.parse_slot())
+        elif name.startswith("x") and name[1:].isdecimal():
             index = _int(name[1:], tok.line, tok.column)
             if index < 1:
                 raise ParseError(
@@ -247,13 +218,16 @@ class _Parser:
                     tok.line,
                     tok.column,
                 )
-            return _Expr.marker(("x", index))
-        raise ParseError(
-            f"unknown identifier {name!r} (expected x<k>, i, d[...] or y[...])",
-            tok.line,
-            tok.column,
-            expected=("variable", "i", "d", "y"),
-        )
+            key = ("x", index)
+        else:
+            raise ParseError(
+                f"unknown identifier {name!r} (expected x<k>, i, d[...] or y[...])",
+                tok.line,
+                tok.column,
+                expected=("variable", "i", "d", "y"),
+            )
+        self.atoms.setdefault(key, tok)
+        return ("atom", key)
 
     def parse_slot(self) -> MultiIndex:
         self.expect("[")
@@ -264,183 +238,139 @@ class _Parser:
         self.expect("]")
         return tuple(entries)
 
-    def finish(self):
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(
-                f"unexpected trailing input {self.describe(tok)}",
-                expected=("eof",),
-            )
+
+def _evaluate(node, variables):
+    """The value of a tree: a Scalar until it meets an atom, then a
+    MultiPoly over the working layout ``variables`` (atom key -> variable)."""
+    op = node[0]
+    if op == "const":
+        return node[1]
+    if op == "atom":
+        return variables[node[1]]
+    if op == "-":
+        return -_evaluate(node[1], variables)
+    if op == "^":
+        return _evaluate(node[1], variables) ** node[2]
+    values = [_evaluate(child, variables) for child in node[1]]
+    return reduce(add if op == "+" else mul, values)
 
 
-def _scan_markers(expr: _Expr):
-    max_x = 0
-    d_arities = set()
-    y_arities = set()
-    for key in expr.terms:
-        for (kind, payload), _ in key:
+def _fail(message: str, tok: _Token):
+    raise ParseError(message, tok.line, tok.column)
+
+
+def _top(parsed: _Parser, kind: str):
+    """The first alive atom of ``kind`` with the largest index (x) or weight
+    (d, y), or None."""
+    keys = [key for key in parsed.alive if key[0] == kind]
+    size = (lambda key: key[1]) if kind == "x" else (lambda key: weight(key[1]))
+    return max(keys, key=size, default=None)
+
+
+def _remap(parsed: _Parser, m: int, width: int, pos=None):
+    """Re-index every term into the final layout: x<j> goes to position j-1,
+    y[alpha] to m + pos[alpha], and a term's one d[...] atom names the group
+    it lands in.  Returns ``{slot or None: {exponents: coefficient}}`` and
+    the first token of a term without a d[...] atom (or None)."""
+    groups: dict = {}
+    bare = None
+    for alpha, c in parsed.terms.items():
+        exps = [0] * width
+        slot = None
+        for (kind, payload), e in zip(parsed.atoms, alpha):
+            if not e:
+                continue
             if kind == "x":
-                max_x = max(max_x, payload)
-            elif kind == "d":
-                d_arities.add(len(payload))
+                exps[payload - 1] = e
+            elif kind == "y":
+                exps[m + pos[payload]] = e
+            elif slot is None and e == 1:
+                slot = payload
             else:
-                y_arities.add(len(payload))
-    return max_x, d_arities, y_arities
+                _fail("operator terms must be linear in d[...]",
+                      parsed.atoms[kind, payload])
+        groups.setdefault(slot, {})[tuple(exps)] = c
+        if slot is None and bare is None:
+            bare = _lead(parsed, alpha)
+    return groups, bare
 
 
-def _resolve_dim(inferred: int, declared, what: str) -> int:
-    if declared is None:
-        return inferred
-    if declared < inferred:
-        raise ParseError(
-            f"declared dimension {declared} too small for {what}", 1, 1
-        )
-    return declared
-
-
-def _to_multipoly(expr: _Expr, dim: int) -> MultiPoly:
-    terms = {}
-    for key, c in expr.terms.items():
-        exps = [0] * dim
-        for (_, payload), e in key:  # only x markers: parse_polynomial checked
-            exps[payload - 1] += e
-        alpha = tuple(exps)
-        terms[alpha] = terms.get(alpha, _ZERO) + c
-    return MultiPoly(dim, terms)
+def _lead(parsed: _Parser, alpha) -> _Token:
+    """The first token of a term's first atom, or of the text."""
+    atoms = (parsed.atoms[key] for key, e in zip(parsed.atoms, alpha) if e)
+    return next(atoms, parsed.tokens[0])
 
 
 def parse_polynomial(text: str, dim=None) -> MultiPoly:
     """Parse a polynomial in x1..xm over the Gaussian rationals."""
-    parser = _Parser(text)
-    expr = parser.parse_expr()
-    parser.finish()
-    max_x, d_ar, y_ar = _scan_markers(expr)
-    if d_ar or y_ar:
-        raise ParseError("polynomials cannot contain d[...] or y[...] atoms", 1, 1)
-    m = _resolve_dim(max(max_x, 1), dim, "the polynomial")
-    return _to_multipoly(expr, m)
+    parsed = _Parser(text).expand()
+    for key in parsed.alive:
+        if key[0] != "x":
+            _fail("polynomials cannot contain d[...] or y[...] atoms",
+                  parsed.atoms[key])
+    top = _top(parsed, "x")
+    m = top[1] if top is not None else 1
+    if dim is not None:
+        if dim < m:
+            _fail(f"declared dimension {dim} too small for the polynomial",
+                  parsed.atoms[top] if top is not None else parsed.tokens[0])
+        m = dim
+    groups, _ = _remap(parsed, m, m)
+    return MultiPoly(m, groups.get(None))
 
 
-def _build_linear(expr: _Expr, dim, order, max_x, d_arities) -> LinearSymbol:
-    if len(d_arities) > 1:
-        raise ParseError(
-            f"d[...] atoms of mixed lengths {sorted(d_arities)}", 1, 1
-        )
-    arity = d_arities.pop() if d_arities else None
-    if arity is None:
-        if not expr.terms:
-            if dim is None:
-                raise ParseError(
-                    "zero operator needs an explicit dimension", 1, 1
-                )
-            return LinearSymbol(dim, order if order is not None else 0, {})
-        raise ParseError(
-            "every operator term needs exactly one d[...] factor", 1, 1
-        )
-    if dim is not None and dim != arity:
-        raise ParseError(
-            f"d[...] atoms have length {arity} but dimension {dim} was "
-            f"declared",
-            1,
-            1,
-        )
-    m = arity
-    if max_x > m:
-        raise ParseError(
-            f"variable x{max_x} exceeds the operator dimension {m}", 1, 1
-        )
-    grouped: dict[MultiIndex, dict] = {}
-    for key, c in expr.terms.items():
-        slot = None
-        exps = [0] * m
-        for (kind, payload), e in key:
-            if kind == "d":
-                if slot is not None or e != 1:
-                    raise ParseError(
-                        "operator terms must be linear in d[...]", 1, 1
-                    )
-                slot = payload
-            elif kind == "x":
-                exps[payload - 1] += e
-            else:
-                raise ParseError(
-                    "cannot mix y[...] with d[...] in one operator", 1, 1
-                )
-        if slot is None:
-            raise ParseError(
-                "every operator term needs exactly one d[...] factor", 1, 1
-            )
-        if any(a < 0 for a in slot):
-            raise ParseError("derivative orders must be nonnegative", 1, 1)
-        bucket = grouped.setdefault(slot, {})
-        alpha = tuple(exps)
-        bucket[alpha] = bucket.get(alpha, _ZERO) + c
-    max_weight = max(weight(slot) for slot in grouped)
-    r = order if order is not None else max_weight
-    if r < max_weight:
-        raise ParseError(
-            f"declared order {r} below the top derivative weight "
-            f"{max_weight}",
-            1,
-            1,
-        )
-    terms = {
-        slot: MultiPoly(m, bucket) for slot, bucket in grouped.items()
-    }
-    return LinearSymbol(m, r, terms)
-
-
-def _build_general(expr: _Expr, dim, order, max_x, y_arities) -> GeneralSymbol:
-    if len(y_arities) > 1:
-        raise ParseError(
-            f"y[...] atoms of mixed lengths {sorted(y_arities)}", 1, 1
-        )
-    m = y_arities.pop()
+def _slot_dimension(parsed: _Parser, kind: str, dim) -> int:
+    """The length of the alive ``kind`` atoms, checked against ``dim`` and
+    the alive x atoms."""
+    slots = [key for key in parsed.alive if key[0] == kind]
+    m = len(slots[0][1])
+    odd = next((key for key in slots if len(key[1]) != m), None)
+    if odd is not None:
+        lengths = sorted({len(key[1]) for key in slots})
+        _fail(f"{kind}[...] atoms of mixed lengths {lengths}", parsed.atoms[odd])
     if dim is not None and dim != m:
-        raise ParseError(
-            f"y[...] atoms have length {m} but dimension {dim} was declared",
-            1,
-            1,
-        )
-    if max_x > m:
-        raise ParseError(
-            f"variable x{max_x} exceeds the operator dimension {m}", 1, 1
-        )
-    top = 0
-    for key in expr.terms:
-        for (kind, payload), _ in key:
-            if kind == "y":
-                top = max(top, weight(payload))
-    r = order if order is not None else top
-    if r < top:
-        raise ParseError(
-            f"declared order {r} below the top jet coordinate weight {top}",
-            1,
-            1,
-        )
-    fiber = jet_dimension(m, r)
-    pos = _index_of(m, r)
-    body_terms = {}
-    for key, c in expr.terms.items():
-        exps = [0] * (m + fiber)
-        for (kind, payload), e in key:
-            if kind == "x":
-                exps[payload - 1] += e
-            else:
-                if any(a < 0 for a in payload):
-                    raise ParseError(
-                        "jet coordinate orders must be nonnegative", 1, 1
-                    )
-                if payload not in pos:
-                    raise ParseError(
-                        f"jet coordinate y{list(payload)} exceeds order {r}",
-                        1,
-                        1,
-                    )
-                exps[m + pos[payload]] += e
-        alpha = tuple(exps)
-        body_terms[alpha] = body_terms.get(alpha, _ZERO) + c
-    return GeneralSymbol(m, r, MultiPoly(m + fiber, body_terms))
+        _fail(f"{kind}[...] atoms have length {m} but dimension {dim} was "
+              f"declared", parsed.atoms[slots[0]])
+    top = _top(parsed, "x")
+    if top is not None and top[1] > m:
+        _fail(f"variable x{top[1]} exceeds the operator dimension {m}",
+              parsed.atoms[top])
+    return m
+
+
+def _order(parsed: _Parser, kind: str, order, what: str) -> int:
+    top = _top(parsed, kind)
+    r = weight(top[1])
+    if order is not None and order < r:
+        _fail(f"declared order {order} below the top {what} {r}",
+              parsed.atoms[top])
+    return r if order is None else order
+
+
+def _build_linear(parsed: _Parser, dim, order) -> LinearSymbol:
+    if not any(key[0] == "d" for key in parsed.alive):
+        if parsed.terms:
+            lead = _lead(parsed, next(iter(parsed.terms)))
+            _fail("every operator term needs exactly one d[...] factor", lead)
+        if dim is None:
+            _fail("zero operator needs an explicit dimension", parsed.tokens[0])
+        return LinearSymbol(dim, order if order is not None else 0, {})
+    m = _slot_dimension(parsed, "d", dim)
+    groups, bare = _remap(parsed, m, m)
+    if bare is not None:
+        _fail("every operator term needs exactly one d[...] factor", bare)
+    r = _order(parsed, "d", order, "derivative weight")
+    return LinearSymbol(
+        m, r, {slot: MultiPoly(m, bucket) for slot, bucket in groups.items()}
+    )
+
+
+def _build_general(parsed: _Parser, dim, order) -> GeneralSymbol:
+    m = _slot_dimension(parsed, "y", dim)
+    r = _order(parsed, "y", order, "jet coordinate weight")
+    width = m + jet_dimension(m, r)
+    groups, _ = _remap(parsed, m, width, _index_of(m, r))
+    return GeneralSymbol(m, r, MultiPoly(width, groups.get(None)))
 
 
 def parse_operator(text: str, dim=None, order=None):
@@ -449,17 +379,17 @@ def parse_operator(text: str, dim=None, order=None):
     ``d[...]`` atoms give a linear symbol, ``y[...]`` atoms a general one;
     mixing them is an error.  ``dim``/``order`` override inference (the
     declared order may exceed the largest stored weight, never undercut
-    it).
+    it).  Kind, dimension and order are read from the atoms that survive
+    expansion, and each semantic error is located at its atom.
     """
-    parser = _Parser(text)
-    expr = parser.parse_expr()
-    parser.finish()
-    max_x, d_arities, y_arities = _scan_markers(expr)
-    if d_arities and y_arities:
-        raise ParseError("operator mixes d[...] and y[...] atoms", 1, 1)
-    if y_arities:
-        return _build_general(expr, dim, order, max_x, y_arities)
-    return _build_linear(expr, dim, order, max_x, d_arities)
+    parsed = _Parser(text).expand()
+    slots = [key for key in parsed.alive if key[0] != "x"]
+    other = next((key for key in slots if key[0] != slots[0][0]), None)
+    if other is not None:
+        _fail("operator mixes d[...] and y[...] atoms", parsed.atoms[other])
+    if slots and slots[0][0] == "y":
+        return _build_general(parsed, dim, order)
+    return _build_linear(parsed, dim, order)
 
 
 def parse_point(text: str, line: int = 1):
@@ -478,16 +408,14 @@ def parse_point(text: str, line: int = 1):
 
 
 def parse_pdo(text: str):
-    """Parse a .pdo document: header line ``dim m order r``, then DSL."""
-    lines = text.splitlines()
-    header_index = None
-    for idx, line in enumerate(lines):
-        if line.strip() and not line.strip().startswith("#"):
-            header_index = idx
-            break
-    if header_index is None:
+    """Parse a .pdo document: header line ``dim m order r``, then DSL.
+    Comment lines (``#``) and the header are blanked, not dropped, so
+    errors in the operator text carry their file line."""
+    lines = ["" if ln.strip().startswith("#") else ln for ln in text.splitlines()]
+    at = next((idx for idx, line in enumerate(lines) if line.strip()), None)
+    if at is None:
         raise ParseError("empty operator file", 1, 1)
-    header = lines[header_index].split()
+    header = lines[at].split()
     if (
         len(header) != 4
         or header[0] != "dim"
@@ -495,18 +423,13 @@ def parse_pdo(text: str):
         or not header[1].isdecimal()
         or not header[3].isdecimal()
     ):
-        raise ParseError(
-            "first line must read 'dim m order r'", header_index + 1, 1
-        )
-    m = _int(header[1], header_index + 1, 1)
-    r = _int(header[3], header_index + 1, 1)
+        raise ParseError("first line must read 'dim m order r'", at + 1, 1)
+    m = _int(header[1], at + 1, 1)
+    r = _int(header[3], at + 1, 1)
     if m < 1:
-        raise ParseError("dimension must be >= 1", header_index + 1, 1)
-    body = "\n".join(
-        line
-        for line in lines[header_index + 1 :]
-        if line.strip() and not line.strip().startswith("#")
-    )
+        raise ParseError("dimension must be >= 1", at + 1, 1)
+    lines[at] = ""
+    body = "\n".join(lines)
     if not body.strip():
-        raise ParseError("operator file has no operator text", header_index + 2, 1)
+        raise ParseError("operator file has no operator text", at + 2, 1)
     return parse_operator(body, dim=m, order=r)

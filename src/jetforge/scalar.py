@@ -24,7 +24,7 @@ def power(base, n: int, one):
     out = one
     while True:
         if n & 1:
-            out = out * base
+            out = base if out is one else out * base
         n >>= 1
         if not n:
             return out

@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 import jetforge
+from jetforge import cli
 from jetforge.cli import run_command
 
 LEWY_PDO = """\
@@ -166,6 +167,26 @@ def test_usage_error_exit_two(capsys):
     assert run_command(["no-such-command"]) == 2
 
 
+def test_reused_arg_parser_leaks_no_state(capsys):
+    assert cli._arg_parser() is cli._arg_parser()  # built once per process
+    vanish = ["vanish", "--op", "x1^2*d[1]"]
+    # the appended --point list starts empty on every call
+    code, report = run_json(capsys, [*vanish, "--point", "0", "--point", "1"])
+    assert code == 0 and len(report["reports"]) == 2
+    code, report = run_json(capsys, [*vanish, "--point", "2"])
+    assert code == 0 and report["point"] == ["2"]
+    # --output after the command has a suppressed default: text comes back
+    assert run_command([*vanish, "--point", "0", "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["point"] == ["0"]
+    assert run_command([*vanish, "--point", "0"]) == 0
+    assert capsys.readouterr().out == "point (0): vanishes to order exactly 1\n"
+    # a usage error leaves the parser usable
+    assert run_command([*vanish, "--level", "3"]) == 2
+    capsys.readouterr()
+    assert run_command([*vanish, "--point", "1"]) == 0
+    assert capsys.readouterr().out == "point (1): does not vanish\n"
+
+
 def test_prolong_cap_enforced(capsys, monkeypatch):
     monkeypatch.setenv("JETFORGE_MAX_PROLONG", "3")
     code = run_command(["prolong", "--op", "d[1]", "--level", "4"])
@@ -318,6 +339,22 @@ def test_pdo_zero_dimension_exits_2(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: 2:1: dimension must be >= 1")
     assert "Traceback" not in err
+
+
+def test_pdo_body_errors_report_file_lines(capsys, tmp_path):
+    path = tmp_path / "bad.pdo"
+    path.write_text("# a comment\n# another\ndim 1 order 1\n\nd[1] + $\n")
+    assert run_command(["symbol", "--op", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 5:8: unexpected character '$'")
+
+
+def test_rhs_too_wide_for_the_operator_is_located(capsys):
+    argv = ["solve", "--op", "d[1]", "--point", "0", "--order", "0",
+            "--rhs", "x1+x2"]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 1:4: declared dimension 1 too small for the polynomial\n"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import parser_oracle
 
 from jetforge.algebra import MultiPoly, format_poly
 from jetforge.errors import ParseError
@@ -170,6 +173,127 @@ def test_operator_round_trip_random():
         assert parse_operator(format_operator(sym), order=r) == sym
 
 
+# -- located semantic errors ------------------------------------------------
+
+@pytest.mark.parametrize(
+    "text, kwargs, where, message",
+    [
+        ("d[1,0] + d[1]", {}, (1, 10), "d[...] atoms of mixed lengths [1, 2]"),
+        ("d[1] + x3*d[1]", {}, (1, 8), "variable x3 exceeds the operator dimension 1"),
+        ("x1*d[1] + d[2]*d[2]", {}, (1, 11), "operator terms must be linear in d[...]"),
+        ("y[1]*d[1]", {}, (1, 6), "operator mixes d[...] and y[...] atoms"),
+        ("d[1] + x1", {}, (1, 8), "every operator term needs exactly one d[...] factor"),
+        ("y[2] + y[1,0]", {}, (1, 8), "y[...] atoms of mixed lengths [1, 2]"),
+        ("x1*d[1] + d[2]", {"order": 1}, (1, 11),
+         "declared order 1 below the top derivative weight 2"),
+        ("y[0] + y[2]^2", {"order": 1}, (1, 8),
+         "declared order 1 below the top jet coordinate weight 2"),
+        ("x1 + 2*d[1,0]", {"dim": 3}, (1, 8),
+         "d[...] atoms have length 2 but dimension 3 was declared"),
+        ("d[1]-d[1]", {}, (1, 1), "zero operator needs an explicit dimension"),
+    ],
+)
+def test_operator_errors_point_at_their_atom(text, kwargs, where, message):
+    with pytest.raises(ParseError) as info:
+        parse_operator(text, **kwargs)
+    assert (info.value.line, info.value.column) == where
+    assert str(info.value) == f"{where[0]}:{where[1]}: {message}"
+    with pytest.raises(ParseError) as old:
+        parser_oracle.parse_operator(text, **kwargs)
+    assert str(old.value) == f"1:1: {message}"  # the same text, unlocated
+
+
+@pytest.mark.parametrize(
+    "text, dim, where, message",
+    [
+        ("x1 + x2", 1, (1, 6), "declared dimension 1 too small for the polynomial"),
+        ("x1 + 3*d[1]", None, (1, 8), "polynomials cannot contain d[...] or y[...] atoms"),
+    ],
+)
+def test_polynomial_errors_point_at_their_atom(text, dim, where, message):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, dim=dim)
+    assert str(info.value) == f"{where[0]}:{where[1]}: {message}"
+    with pytest.raises(ParseError) as old:
+        parser_oracle.parse_polynomial(text, dim=dim)
+    assert str(old.value) == f"1:1: {message}"
+
+
+def test_cancelled_atoms_do_not_count():
+    sym = parse_operator("x1^2*d[2] - x1^2*d[2] + d[1]")
+    assert sym == LinearSymbol(1, 1, {(1,): MultiPoly.constant(1, 1)})
+    assert parse_operator("d[1]-d[1]", dim=2) == LinearSymbol(2, 0, {})
+    assert parse_operator("y[3] - y[3] + x1*y[1]").order == 1
+    assert parse_polynomial("x5 - x5 + x1") == MultiPoly.variable(1, 1)
+    assert parse_polynomial("d[1] - d[1] + x1") == MultiPoly.variable(1, 1)
+
+
+# -- differential test against the evaluate-while-parsing oracle ------------
+
+_slot = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(
+    lambda a: ",".join(map(str, a))
+)
+_leaf = st.one_of(
+    st.sampled_from(["x1", "x2", "x3", "i"]),
+    st.builds("{}/{}".format, st.integers(0, 5), st.integers(1, 4)),
+    _slot.map("d[{}]".format),
+    _slot.map("y[{}]".format),
+)
+
+
+def _combine(inner):
+    return st.one_of(
+        st.builds("{} + {}".format, inner, inner),
+        st.builds("{} - {}".format, inner, inner),
+        st.builds("{}*{}".format, inner, inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 3)),
+        inner.map("-({})".format),
+        # a term and its negation: cancelled atoms must not count
+        st.builds("{0}*{1} - ({1})*{0}".format, inner, inner),
+    )
+
+
+def _operator_shaped(m, kind):
+    """Sums of (polynomial)*d[...] or (polynomial)*y[...] with slots of length m."""
+    poly = st.recursive(
+        st.sampled_from(["x1", "x2", "x3", "i", "2", "-1/3"]), _combine, max_leaves=3
+    )
+    slot = st.lists(st.integers(0, 2), min_size=m, max_size=m).map(
+        lambda a: ",".join(map(str, a))
+    )
+    term = st.builds(f"({{}})*{kind}[{{}}]".format, poly, slot)
+    return st.lists(term, min_size=1, max_size=3).map(" - ".join)
+
+
+_dsl = st.one_of(
+    st.recursive(_leaf, _combine, max_leaves=6),
+    st.tuples(st.integers(1, 2), st.sampled_from("dy")).flatmap(
+        lambda shape: _operator_shaped(*shape)
+    ),
+)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
+
+
+@settings(max_examples=300)
+@given(_dsl)
+@example("x1^2*d[2] - x1^2*d[2] + d[1]")
+@example("d[1]-d[1]")
+@example("y[1]*d[1] - d[1]*y[1] + y[0,1]")
+def test_tree_parser_agrees_with_oracle(text):
+    assert _outcome(parse_operator, text) == _outcome(
+        parser_oracle.parse_operator, text
+    )
+    assert _outcome(parse_polynomial, text) == _outcome(
+        parser_oracle.parse_polynomial, text
+    )
+
+
 # -- general symbols ---------------------------------------------------------
 
 def test_parse_square_symbol():
@@ -236,6 +360,15 @@ def test_parse_pdo_multiline_operator():
 def test_parse_pdo_bad_header():
     with pytest.raises(ParseError):
         parse_pdo("order 1 dim 3\nd[1,0,0]")
+
+
+def test_parse_pdo_errors_carry_file_lines():
+    with pytest.raises(ParseError) as info:
+        parse_pdo("# one\n# two\ndim 1 order 1\n\nd[1] + $\n")
+    assert (info.value.line, info.value.column) == (5, 8)
+    with pytest.raises(ParseError) as info:
+        parse_pdo("dim 1 order 1\nd[2]\n# comment\n + x2*d[1]\n")
+    assert str(info.value) == "4:4: variable x2 exceeds the operator dimension 1"
 
 
 def test_parse_pdo_empty_body_rejected():
