@@ -24,6 +24,20 @@ def rational_point(coords) -> RationalPoint:
     return tuple(as_fraction(c) for c in coords)
 
 
+def _point(x0, m: int, coerce=rational_point) -> tuple:
+    """x0 coerced to exact coordinates, after checking it has dimension m."""
+    if len(x0) != m:
+        raise DimensionMismatch(f"point of length {len(x0)} for dimension {m}")
+    return coerce(x0)
+
+
+def _coordinates(x0) -> tuple:
+    """Scalars and Fractions as they are, anything else as a Fraction."""
+    return tuple(
+        c if isinstance(c, (Scalar, Fraction)) else as_fraction(c) for c in x0
+    )
+
+
 def distinct_points(points) -> list[RationalPoint]:
     """Coerce a nonempty list of pairwise distinct points."""
     pts = [rational_point(p) for p in points]
@@ -199,13 +213,10 @@ class MultiPoly:
                 out[key] = out.get(key, Scalar()) + c * e
         return MultiPoly(self.num_vars, out)
 
-    def evaluate(self, x0: RationalPoint) -> Scalar:
-        """Exact value at a rational point."""
-        if len(x0) != self.num_vars:
-            raise DimensionMismatch(
-                f"point of length {len(x0)} for {self.num_vars} variables"
-            )
-        coords = rational_point(x0)
+    def evaluate(self, x0) -> Scalar:
+        """Exact value at a point whose coordinates are rationals or Scalars;
+        at a rational point each monomial is a Fraction product."""
+        coords = _point(x0, self.num_vars, _coordinates)
         total = Scalar()
         for alpha, c in self.terms.items():
             f = Fraction(1)
@@ -213,22 +224,6 @@ class MultiPoly:
                 if e:
                     f *= x**e
             total = total + c * f
-        return total
-
-    def eval_scalars(self, values) -> Scalar:
-        """Exact value with arbitrary Scalar substitutions per variable."""
-        vals = [Scalar.coerce(v) for v in values]
-        if len(vals) != self.num_vars:
-            raise DimensionMismatch(
-                f"{len(vals)} values for {self.num_vars} variables"
-            )
-        total = Scalar()
-        for alpha, c in self.terms.items():
-            f = c
-            for x, e in zip(vals, alpha):
-                if e:
-                    f = f * x**e
-            total = total + f
         return total
 
     def __repr__(self):
@@ -263,11 +258,7 @@ def _recentred(p: MultiPoly, x0: RationalPoint, k: int) -> dict[MultiIndex, Scal
     Binomial expansion of every term, with each variable's exponent range
     cut at min(e, k) so nothing above weight k is built.
     """
-    if len(x0) != p.num_vars:
-        raise DimensionMismatch(
-            f"point of length {len(x0)} for {p.num_vars} variables"
-        )
-    coords = rational_point(x0)
+    coords = _point(x0, p.num_vars)
     acc: dict[MultiIndex, Scalar] = {}
     for alpha, coeff in p.terms.items():
         per_var = []
@@ -316,11 +307,8 @@ def taylor_polynomial(jet: JetVector, x0: RationalPoint) -> MultiPoly:
 
     Its jet at x0 reproduces the input exactly.
     """
-    m = jet.base_dim
-    if len(x0) != m:
-        raise DimensionMismatch(f"point of length {len(x0)} for dimension {m}")
-    back = tuple(-c for c in rational_point(x0))
-    return shift(MultiPoly(m, _centred(jet)), back)
+    back = tuple(-c for c in _point(x0, jet.base_dim))
+    return shift(MultiPoly(jet.base_dim, _centred(jet)), back)
 
 
 def jet_quotient(num: JetVector, den: JetVector) -> JetVector:

@@ -442,6 +442,11 @@ def run_command(argv) -> int:
     except JetforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # str() of an int over the interpreter's limit
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error: a number in the result is too long to print", file=sys.stderr)
+        return 2
     _render(report, args)
     return exit_code
 

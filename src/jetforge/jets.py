@@ -34,12 +34,6 @@ def bump(alpha: MultiIndex, i: int) -> MultiIndex:
     return alpha[: i - 1] + (alpha[i - 1] + 1,) + alpha[i:]
 
 
-def add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    if len(alpha) != len(beta):
-        raise DimensionMismatch("multiindex lengths differ")
-    return tuple(a + b for a, b in zip(alpha, beta))
-
-
 @lru_cache(maxsize=None)
 def factorial(alpha: MultiIndex) -> int:
     out = 1

@@ -34,6 +34,8 @@ from .scalar import Scalar
 from .symbols import GeneralSymbol, LinearSymbol
 
 _PUNCT = set("+-*/^()[],")
+# deepest parenthesis nesting parsed; each level costs the parser four frames
+_MAX_NESTING = 100
 _COORDINATE = re.compile(r"([+-]?\d+)(?:/(\d+))?")  # \d is str.isdecimal
 
 
@@ -97,6 +99,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses around the current token
         self.atoms: dict[tuple, _Token] = {}
         self.terms: dict = {}  # set by expand
         self.alive: list = []
@@ -191,8 +194,12 @@ class _Parser:
                 value = Fraction(tok.value, denom)
             return ("const", Scalar(value))
         if tok.kind == "(":
+            if self.depth == _MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {_MAX_NESTING}")
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
             return inner
         if tok.kind == "ident":

@@ -9,16 +9,15 @@ points goes through exact jet interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import linalg, roots
 from .algebra import (
     MultiPoly,
     RationalPoint,
+    _point,
     distinct_points,
     hermite_interpolate,
-    rational_point,
     taylor_jet,
     taylor_polynomial,
 )
@@ -191,44 +190,27 @@ def _linear_witness(
     )
 
 
-def _freeze_univariate(gsym: GeneralSymbol, x0, var: int) -> list[Scalar]:
-    """Coefficients in y_var after pinning x = x0 and the other jet
-    coordinates to zero."""
-    m = gsym.base_dim
-    coords = rational_point(x0)
-    coeffs: dict[int, Scalar] = {}
-    for exps, c in gsym.body.terms.items():
-        if any(e for j, e in enumerate(exps[m:]) if j != var and e):
-            continue
-        f = Fraction(1)
-        for x, e in zip(coords, exps[:m]):
-            if e:
-                f *= x**e
-        d = exps[m + var]
-        coeffs[d] = coeffs.get(d, Scalar()) + c * f
-    top = max(coeffs, default=0)
-    return [coeffs.get(d, Scalar()) for d in range(top + 1)]
-
-
 def _nonlinear_witness(
     gsym: GeneralSymbol, g: MultiPoly, x0: RationalPoint
 ) -> PCPWitness:
     gx = g.evaluate(x0)
     m = gsym.base_dim
-    jet_vars = gsym.jet_variables()
-    chosen = None
-    univariate = None
-    for var in range(len(jet_vars)):
-        coeffs = _freeze_univariate(gsym, x0, var)
-        if len(coeffs) > 1 and any(coeffs[1:]):
-            chosen = var
-            univariate = coeffs
-            break
+    # one pass: the x-parts of the body terms, grouped by the one (jet
+    # coordinate, power) a term carries, or None for none; a term carrying
+    # two vanishes once all jet coordinates but one are pinned to zero
+    parts: dict = {}
+    depends = set()
+    for exps, c in gsym.body.terms.items():
+        carried = [(j, e) for j, e in enumerate(exps[m:]) if e]
+        depends.update(j for j, _ in carried)
+        if len(carried) < 2:
+            parts.setdefault(carried[0] if carried else None, {})[exps[:m]] = c
+    values = {
+        key: MultiPoly._trusted(m, terms).evaluate(x0) for key, terms in parts.items()
+    }
+    constant = values.pop(None, Scalar())
+    chosen = min((j for (j, _), v in values.items() if v), default=None)
     if chosen is None:
-        constant = gsym.body.eval_scalars(
-            [Scalar(c) for c in rational_point(x0)]
-            + [Scalar()] * len(jet_vars)
-        )
         if constant == gx:
             return PCPWitness(JetVector.zeros(m, gsym.order))
         return PCPWitness(
@@ -237,9 +219,10 @@ def _nonlinear_witness(
             "and misses the target value",
         )
 
-    equation = list(univariate)
-    equation[0] = equation[0] - gx
-    alpha = jet_vars[chosen]
+    top = max(d for j, d in values if j == chosen)
+    equation = [constant - gx]
+    equation += [values.get((chosen, d), Scalar()) for d in range(1, top + 1)]
+    alpha = gsym.jet_variables()[chosen]
     label = "y[" + ",".join(str(a) for a in alpha) + "]"
 
     if all(c.is_real for c in equation):
@@ -257,12 +240,6 @@ def _nonlinear_witness(
         return PCPWitness(jet)
 
     count = roots.count_real_roots(real_eq)
-    depends = {
-        j
-        for exps in gsym.body.terms
-        for j, e in enumerate(exps[m:])
-        if e
-    }
     exhaustive = depends == {chosen}
     note = (
         f"freeze-and-solve univariate in {label}{gcd_note}: no rational "
@@ -284,10 +261,7 @@ def pcp_check(sym, g: MultiPoly, x0: RationalPoint) -> PCPWitness:
     the symbol's whole jet dependence.
     """
     _check_rhs(sym, g)
-    if len(x0) != sym.base_dim:
-        raise DimensionMismatch(
-            f"point of length {len(x0)} for dimension {sym.base_dim}"
-        )
+    x0 = _point(x0, sym.base_dim)
     if isinstance(sym, LinearSymbol):
         return _linear_witness(sym, g, x0)
     if isinstance(sym, GeneralSymbol):

@@ -18,9 +18,9 @@ from .algebra import (
     MultiPoly,
     RationalPoint,
     _join_signed,
+    _point,
     derivative,
     format_poly,
-    rational_point,
 )
 from .errors import BadDirection, DimensionMismatch
 from .jets import (
@@ -189,9 +189,7 @@ def fiber_matrix(prosym: ProlongedSymbol, x0: RationalPoint):
     """
     sym = prosym.base
     m = sym.base_dim
-    if len(x0) != m:
-        raise DimensionMismatch(f"point of length {len(x0)} for dimension {m}")
-    point = rational_point(x0)
+    point = _point(x0, m)
     cols = _indices(m, sym.order + prosym.level)
     col_pos = _index_of(m, sym.order + prosym.level)
     matrix = []
@@ -275,17 +273,13 @@ class GeneralSymbol:
 
 def evaluate_general(gsym: GeneralSymbol, x0: RationalPoint, p: JetVector) -> Scalar:
     """Exact value of the symbol at a base point and a jet fiber point."""
-    if len(x0) != gsym.base_dim:
-        raise DimensionMismatch(
-            f"point of length {len(x0)} for dimension {gsym.base_dim}"
-        )
+    point = _point(x0, gsym.base_dim)
     if p.base_dim != gsym.base_dim or p.order != gsym.order:
         raise DimensionMismatch(
             f"jet of shape ({p.base_dim}, {p.order}) for a symbol of shape "
             f"({gsym.base_dim}, {gsym.order})"
         )
-    values = [Scalar(c) for c in rational_point(x0)] + list(p.entries)
-    return gsym.body.eval_scalars(values)
+    return gsym.body.evaluate(point + p.entries)
 
 
 def lewy_symbol() -> LinearSymbol:

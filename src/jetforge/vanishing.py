@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import RationalPoint, shift
-from .errors import DimensionMismatch
+from .algebra import RationalPoint, _point, shift
 from .jets import _tree, weight
 from .symbols import LinearSymbol, _total_derivative_cached
 
@@ -47,13 +46,6 @@ class VanishingReport:
         return "identically zero"
 
 
-def _check_point(sym: LinearSymbol, x0: RationalPoint) -> None:
-    if len(x0) != sym.base_dim:
-        raise DimensionMismatch(
-            f"point of length {len(x0)} for dimension {sym.base_dim}"
-        )
-
-
 def vanishing_order(sym: LinearSymbol, x0: RationalPoint) -> VanishingReport:
     """Classify the vanishing order of all coefficients at a point.
 
@@ -61,11 +53,11 @@ def vanishing_order(sym: LinearSymbol, x0: RationalPoint) -> VanishingReport:
     at x0 equals the order of its first nonvanishing derivative there, so
     the classification is exact and always terminates.
     """
-    _check_point(sym, x0)
+    coords = _point(x0, sym.base_dim)
     point = tuple(x0)
     if sym.is_zero:
         return VanishingReport(point, IDENTICALLY_ZERO)
-    low = min(shift(coeff, x0).min_degree for coeff in sym.terms.values())
+    low = min(shift(coeff, coords).min_degree for coeff in sym.terms.values())
     if low == 0:
         return VanishingReport(point, NOT_VANISHING)
     return VanishingReport(point, EXACTLY, low - 1)
@@ -82,8 +74,7 @@ def desingularization_order(
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    _check_point(sym, x0)
-    point = tuple(x0)
+    point = _point(x0, sym.base_dim)
     if _nonzero_at(sym, point):
         return 0
     comps = {(0,) * sym.base_dim: sym}

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gluing_oracle
 from gluing_oracle import truncate
+from jetforge import solver
 from jetforge.algebra import (
     MultiPoly,
     derivative,
@@ -22,6 +23,14 @@ from jetforge.algebra import (
 from jetforge.errors import DimensionMismatch, DuplicatePoints, NotAUnit
 from jetforge.jets import JetVector, enumerate_multiindices, jet_dimension
 from jetforge.scalar import Scalar
+from jetforge.symbols import (
+    GeneralSymbol,
+    LinearSymbol,
+    evaluate_general,
+    fiber_matrix,
+    prolong,
+)
+from jetforge.vanishing import desingularization_order, vanishing_order
 
 
 def poly(num_vars, terms):
@@ -400,3 +409,46 @@ def test_format_examples():
     q = poly(3, {(0, 0, 1): Scalar(0, 1)})
     assert format_poly(q) == "i*x3"
     assert format_poly(MultiPoly.constant(1, -1)) == "-1"
+
+
+# -- one point check ----------------------------------------------------------
+
+_P2 = MultiPoly(2, {(1, 0): 1, (0, 2): Scalar(0, 1)})
+_SYM2 = LinearSymbol(2, 1, {(1, 0): _P2, (0, 1): MultiPoly.constant(2, 1)})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x0: _P2.evaluate(x0),
+        lambda x0: taylor_jet(_P2, x0, 1),
+        lambda x0: shift(_P2, x0),
+        lambda x0: taylor_polynomial(JetVector.zeros(2, 1), x0),
+        lambda x0: fiber_matrix(prolong(_SYM2, 1), x0),
+        lambda x0: evaluate_general(
+            GeneralSymbol.from_linear(_SYM2), x0, JetVector.zeros(2, 1)
+        ),
+        lambda x0: vanishing_order(_SYM2, x0),
+        lambda x0: desingularization_order(_SYM2, x0, 2),
+        lambda x0: solver.pcp_check(_SYM2, _P2, x0),
+        lambda x0: solver.pcp_check(GeneralSymbol.from_linear(_SYM2), _P2, x0),
+        lambda x0: solver.solve(_SYM2, _P2, [x0], 1),
+    ],
+    ids=[
+        "evaluate", "taylor_jet", "shift", "taylor_polynomial", "fiber_matrix",
+        "evaluate_general", "vanishing_order", "desingularization_order",
+        "pcp_check_linear", "pcp_check_general", "solve",
+    ],
+)
+def test_point_of_wrong_length_has_one_message(call):
+    with pytest.raises(DimensionMismatch) as info:
+        call((Fraction(1),))
+    assert str(info.value) == "point of length 1 for dimension 2"
+
+
+def test_evaluate_takes_scalar_coordinates():
+    p = MultiPoly(2, {(2, 0): 3, (1, 1): Scalar(0, 1), (0, 0): 1})
+    i = Scalar(0, 1)
+    # 3*i^2 + i*i*(1/2) + 1 = -3 - 1/2 + 1
+    assert p.evaluate((i, Fraction(1, 2))) == Fraction(-5, 2)
+    assert p.evaluate((1, "1/2")) == p.evaluate((Scalar(1), Scalar(Fraction(1, 2))))

@@ -448,3 +448,22 @@ def test_signed_rational_point_parses(capsys):
     assert report["point"] == ["-5/3"]
     code, report = run_json(capsys, ["vanish", "--op", "x1*d[1]", "--point=+5/3"])
     assert report["point"] == ["5/3"]
+
+
+def test_point_of_wrong_dimension_reports_one_line(capsys, tmp_path):
+    points = tmp_path / "points.txt"
+    points.write_text("1\n2\n")
+    op = ["--op", "d[1,0]"]
+    commands = [
+        ["solve", *op, "--point", "1", "--order", "1", "--rhs", "x1"],
+        ["solve-multi", *op, "--points-file", str(points), "--order", "1",
+         "--rhs", "x1"],
+        ["rank", *op, "--point", "1", "--level", "1"],
+        ["vanish", *op, "--point", "1"],
+        ["pcp", *op, "--point", "1", "--rhs", "x1"],
+    ]
+    for argv in commands:
+        assert run_command(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: point of length 1 for dimension 2\n"

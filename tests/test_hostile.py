@@ -1,0 +1,90 @@
+"""Hostile input exits 2 with a message, never with a traceback; and a
+source guard against module-level imports nothing uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import jetforge
+from jetforge import cli
+from jetforge.cli import run_command
+from jetforge.errors import ParseError
+from jetforge.parser import _MAX_NESTING, parse_operator
+
+SOURCES = sorted(
+    path for path in Path(jetforge.__file__).parent.glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that no Name node reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unused_module_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_guard_sees_an_unused_name():
+    source = "from fractions import Fraction\nimport math\nx = math.pi\n"
+    assert _unused_imports(source) == ["Fraction"]
+
+
+def _nested(depth: int, inner: str) -> str:
+    return "(" * depth + inner + ")" * depth
+
+
+def test_nesting_up_to_the_limit_parses_as_without_parentheses():
+    inner = "x1*d[1,0] + 2*d[0,1]"
+    assert parse_operator(_nested(_MAX_NESTING, inner)) == parse_operator(inner)
+    # an operator on every level: v -> x1*d[1] + 2*v, from v = d[1]
+    text = "d[1]"
+    for _ in range(_MAX_NESTING):
+        text = f"x1*d[1] - -2*({text})^1"
+    n = 2**_MAX_NESTING
+    assert parse_operator(text) == parse_operator(f"({n - 1}*x1 + {n})*d[1]")
+
+
+def test_nesting_past_the_limit_is_located_at_its_parenthesis():
+    with pytest.raises(ParseError) as info:
+        parse_operator("d[1] + " + _nested(_MAX_NESTING + 1, "d[1]"))
+    column = len("d[1] + ") + _MAX_NESTING + 1
+    assert (info.value.line, info.value.column) == (1, column)
+    assert f"nested deeper than {_MAX_NESTING}" in str(info.value)
+
+
+def test_deep_parentheses_exit_2(capsys):
+    assert run_command(["symbol", "--op", _nested(300, "d[1]")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: 1:{_MAX_NESTING + 1}: parentheses nested")
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_result_number_over_the_digit_limit_exits_2(capsys, output):
+    argv = ["--output", output, "solve", "--op", "d[1]", "--point", "1/3",
+            "--order", "2", "--rhs", "x1^100000"]
+    assert run_command(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a number in the result is too long to print\n"
+
+
+def test_other_value_errors_still_surface(monkeypatch):
+    def broken(args):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setitem(cli._HANDLERS, "symbol", broken)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        run_command(["symbol", "--op", "d[1]"])

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import pcp_oracle
 
 from jetforge.algebra import MultiPoly, evaluate, hermite_interpolate, taylor_jet
 from jetforge.errors import DimensionMismatch, DuplicatePoints, UnsolvableError
-from jetforge.jets import JetVector, enumerate_multiindices
+from jetforge.jets import JetVector, enumerate_multiindices, jet_dimension
 from jetforge.scalar import Scalar
 from jetforge.solver import (
     borel_realize,
@@ -443,3 +446,58 @@ def test_witness_soundness_random_linear():
         assert witness.found
         value = evaluate_general(GeneralSymbol.from_linear(sym), x0, witness.jet)
         assert value == g.evaluate(x0)
+
+
+# -- the one-pass freeze against the per-coordinate oracle -------------------
+
+_values = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
+     Fraction(1, 2), Fraction(-2, 3)]
+)
+_imag = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 2)])
+_coefficients = st.builds(Scalar, _values, _imag).filter(bool)
+
+
+@st.composite
+def general_cases(draw):
+    """A symbol body over m = 1..2 and r = 0..2 whose terms carry zero, one
+    or two jet coordinates, with a point and a right-hand side."""
+    m = draw(st.integers(1, 2))
+    r = draw(st.integers(0, 2))
+    fiber = jet_dimension(m, r)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        jet = [0] * fiber
+        carried = draw(st.integers(0, min(2, fiber)))
+        for j in draw(st.lists(st.integers(0, fiber - 1), min_size=carried,
+                               max_size=carried, unique=True)):
+            jet[j] = draw(st.integers(1, 3))
+        xs = tuple(draw(st.integers(0, 2)) for _ in range(m))
+        key = xs + tuple(jet)
+        terms[key] = terms.get(key, Scalar()) + draw(_coefficients)
+    gsym = GeneralSymbol(m, r, MultiPoly(m + fiber, terms))
+    x0 = tuple(draw(_values) for _ in range(m))
+    g = MultiPoly(m, {
+        tuple(draw(st.integers(0, 2)) for _ in range(m)): draw(_coefficients)
+        for _ in range(draw(st.integers(0, 2)))
+    })
+    return gsym, x0, g
+
+
+@settings(max_examples=300)
+@given(general_cases())
+def test_nonlinear_witness_matches_per_coordinate_oracle(case):
+    gsym, x0, g = case
+    assert pcp_check(gsym, g, x0) == pcp_oracle._nonlinear_witness(gsym, g, x0)
+
+
+@settings(max_examples=200)
+@given(general_cases(), st.data())
+def test_evaluate_general_matches_eval_scalars_oracle(case, data):
+    gsym, x0, _ = case
+    size = jet_dimension(gsym.base_dim, gsym.order)
+    entries = data.draw(st.lists(_coefficients | st.just(Scalar()),
+                                 min_size=size, max_size=size))
+    p = JetVector(gsym.base_dim, gsym.order, entries)
+    values = [Scalar(c) for c in x0] + list(p.entries)
+    assert evaluate_general(gsym, x0, p) == pcp_oracle.eval_scalars(gsym.body, values)
