@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from operator import add
 
 from .errors import DimensionMismatch, DuplicatePoints, NotAUnit
 from .jets import JetVector, MultiIndex, _indices, factorial, graded_key, weight
-from .scalar import ONE, Scalar, as_fraction, power
+from .scalar import ONE, Scalar, _from_gaussian, _to_gaussian, as_fraction, power
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -182,16 +184,26 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same(other)
-        out: dict[MultiIndex, Scalar] = {}
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(a1, a2))
-                s = out.get(key, Scalar()) + c1 * c2
-                if s:
-                    out[key] = s
+        # Gaussian integers over den1*den2.  A sum that cancels is dropped at
+        # once, so a term that comes back goes last: the parser locates an
+        # error at the first term, so term order is observable
+        den1, left = _to_gaussian(self.terms.values())
+        den2, right = _to_gaussian(other.terms.values())
+        right = list(zip(other.terms, right))
+        out: dict[MultiIndex, tuple[int, int]] = {}
+        for a1, (r1, i1) in zip(self.terms, left):
+            for a2, (r2, i2) in right:
+                key = tuple(map(add, a1, a2))
+                re, im = out.get(key, (0, 0))
+                re += r1 * r2 - i1 * i2
+                im += r1 * i2 + i1 * r2
+                if re or im:
+                    out[key] = (re, im)
                 else:
-                    out.pop(key, None)
-        return MultiPoly._trusted(self.num_vars, out)
+                    del out[key]
+        return MultiPoly._trusted(
+            self.num_vars, dict(zip(out, _from_gaussian(den1 * den2, out.values())))
+        )
 
     __rmul__ = __mul__
 
@@ -256,29 +268,42 @@ def _recentred(p: MultiPoly, x0: RationalPoint, k: int) -> dict[MultiIndex, Scal
     """Coefficients of weight <= k of q(u) = p(u + x0), which are D^a p(x0)/a!.
 
     Binomial expansion of every term, with each variable's exponent range
-    cut at min(e, k) so nothing above weight k is built.
+    cut at min(e, k) so nothing above weight k is built.  The point is held
+    as integers c over one denominator d, and a term's contribution of
+    weight w over d**(|alpha| - w) is scaled to d**deg by d**(deg - |alpha|
+    + w).  Those powers are computed when first needed: a table of every
+    power up to the degree would cost quadratic time and memory in it.
     """
     coords = _point(x0, p.num_vars)
-    acc: dict[MultiIndex, Scalar] = {}
-    for alpha, coeff in p.terms.items():
+    d, point = _to_gaussian(map(Scalar, coords))
+    den, coeffs = _to_gaussian(p.terms.values())
+    deg = max(p.degree, 0)
+    d_power = cache(d.__pow__)
+    acc: dict[MultiIndex, tuple[int, int]] = {}
+    for alpha, (re, im) in zip(p.terms, coeffs):
         per_var = []
-        for e, c in zip(alpha, coords):
+        for e, (c, _) in zip(alpha, point):
             if e == 0 or c == 0:
                 per_var.append([(e, 1)])
             else:
                 per_var.append(
                     [(t, math.comb(e, t) * c ** (e - t)) for t in range(min(e, k) + 1)]
                 )
+        lift = deg - sum(alpha)
         for combo in product(*per_var):
-            key = tuple(t for t, _ in combo)
-            if sum(key) > k:
+            key, factors = zip(*combo)
+            w = sum(key)
+            if w > k:
                 continue
-            s = acc.get(key, Scalar()) + coeff * math.prod(w for _, w in combo)
-            if s:
-                acc[key] = s
+            f = d_power(lift + w) * math.prod(factors)
+            sr, si = acc.get(key, (0, 0))
+            sr += re * f
+            si += im * f
+            if sr or si:
+                acc[key] = (sr, si)
             else:
-                acc.pop(key, None)
-    return acc
+                del acc[key]
+    return dict(zip(acc, _from_gaussian(den * d_power(deg), acc.values())))
 
 
 def shift(p: MultiPoly, x0: RationalPoint) -> MultiPoly:

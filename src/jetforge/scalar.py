@@ -7,6 +7,7 @@ operations are exact and equality means equality.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -139,6 +140,30 @@ class Scalar:
         mag = abs(self.im)
         imag = "i" if mag == 1 else f"{mag}*i"
         return f"({self.re} {sign} {imag})"
+
+
+def _to_gaussian(values) -> tuple[int, list[tuple[int, int]]]:
+    """Scalars as Gaussian integers over one common denominator.
+
+    Returns ``(den, [(re, im)])`` with each value equal to
+    ``(re + im*i) / den``; ``den`` is the least common denominator (1 for
+    no values).  The integer kernels convert once with this on the way in
+    and once with :func:`_from_gaussian` on the way out.
+    """
+    values = list(values)
+    den = math.lcm(*[f.denominator for v in values for f in (v.re, v.im)])
+    return den, [
+        (
+            v.re.numerator * (den // v.re.denominator),
+            v.im.numerator * (den // v.im.denominator),
+        )
+        for v in values
+    ]
+
+
+def _from_gaussian(den: int, pairs) -> list[Scalar]:
+    """The Scalars ``(re + im*i) / den`` of Gaussian integers ``(re, im)``."""
+    return [Scalar(Fraction(re, den), Fraction(im, den)) for re, im in pairs]
 
 
 ZERO = Scalar(0)

@@ -192,11 +192,14 @@ def fiber_matrix(prosym: ProlongedSymbol, x0: RationalPoint):
     point = _point(x0, m)
     cols = _indices(m, sym.order + prosym.level)
     col_pos = _index_of(m, sym.order + prosym.level)
+    values: dict[MultiPoly, Scalar] = {}  # few distinct coefficients recur
     matrix = []
     for beta in _indices(m, prosym.level):
         row = [Scalar()] * len(cols)
         for alpha, coeff in prosym.components[beta].terms.items():
-            row[col_pos[alpha]] = coeff.evaluate(point)
+            if coeff not in values:
+                values[coeff] = coeff.evaluate(point)
+            row[col_pos[alpha]] = values[coeff]
         matrix.append(row)
     return matrix
 

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gluing_oracle
+import kernel_oracle
 from gluing_oracle import truncate
 from jetforge import solver
 from jetforge.algebra import (
     MultiPoly,
+    _recentred,
     derivative,
     evaluate,
     format_poly,
@@ -67,6 +69,17 @@ def test_ring_identities():
     y = MultiPoly.variable(2, 2)
     assert (x + y) * (x - y) == x * x - y * y
     assert (x + 1) ** 2 == x * x + 2 * x + 1
+
+
+@given(polys(2, max_terms=6), polys(2, max_terms=6))
+@example(poly(2, {(1, 0): 1, (0, 1): 1}), poly(2, {(1, 0): 1, (0, 1): -1}))
+@example(poly(2, {}), poly(2, {(1, 1): 3}))
+@example(poly(2, {(0, 0): Scalar(0, Fraction(2, 3))}), poly(2, {(0, 0): Fraction(3, 4)}))
+# x^2 cancels and comes back after x^3 and x^4 are in: it must come last
+@example(poly(1, {(0,): 1, (1,): 1, (2,): 1}), poly(1, {(0,): 1, (1,): 1, (2,): -1, (3,): -1}))
+def test_product_matches_scalar_oracle(p, q):
+    # equal terms in equal order, so any reader of the first term agrees
+    assert list((p * q).terms.items()) == list(kernel_oracle.multiply(p, q).terms.items())
 
 
 def test_mixed_dimension_rejected():
@@ -223,6 +236,19 @@ def test_shift_matches_full_expansion_oracle(case):
 def test_shift_round_trip(case):
     p, x0, _ = case
     assert shift(shift(p, x0), tuple(-c for c in x0)) == p
+
+
+@given(recentring_cases)
+@example((MultiPoly.zero(2), frac_point(Fraction(1, 3), -2), 0))
+@example((poly(2, {(3, 1): Scalar(Fraction(1, 2), Fraction(-2, 3)), (0, 2): 5}),
+          frac_point(0, Fraction(-3, 2)), 0))
+@example((poly(2, {(3, 1): 1, (1, 0): Scalar(0, 1)}), frac_point(-1, Fraction(2, 5)), 9))
+@settings(max_examples=150)
+def test_recentred_matches_scalar_oracle(case):
+    p, x0, k = case
+    # equal terms in equal order
+    got = list(_recentred(p, x0, k).items())
+    assert got == list(kernel_oracle._recentred(p, x0, k).items())
 
 
 def test_truncate_drops_high_degree():

@@ -156,6 +156,15 @@ def test_check_quick(capsys, schema):
     assert len(report["suites"]) == 9
 
 
+def test_check_seed_0_output_is_pinned(capsys):
+    # byte-identity gate for every exact kernel: the full check report
+    assert run_command(["--output", "json", "check", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "16a32a95c26e0f84997b425505ccb093282f415e855bded0b94cdcc253a24c61"
+    )
+
+
 def test_parse_error_exit_two(capsys):
     code = run_command(["vanish", "--op", "d[1", "--point", "0"])
     assert code == 2

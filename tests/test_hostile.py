@@ -2,6 +2,8 @@
 source guard against module-level imports nothing uses."""
 
 import ast
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,8 +11,10 @@ import pytest
 import jetforge
 from jetforge import cli
 from jetforge.cli import run_command
+from jetforge.algebra import shift, taylor_jet
 from jetforge.errors import ParseError
-from jetforge.parser import _MAX_NESTING, parse_operator
+from jetforge.jets import JetVector
+from jetforge.parser import _MAX_NESTING, parse_operator, parse_polynomial
 
 SOURCES = sorted(
     path for path in Path(jetforge.__file__).parent.glob("*.py")
@@ -88,3 +92,36 @@ def test_other_value_errors_still_surface(monkeypatch):
     monkeypatch.setitem(cli._HANDLERS, "symbol", broken)
     with pytest.raises(ValueError, match="not a digit limit"):
         run_command(["symbol", "--op", "d[1]"])
+
+
+# Recentring a sparse polynomial of high degree costs what its few terms
+# need.  A table of the point's denominator to every power up to the
+# degree would take minutes and gigabytes for these inputs; each case
+# must finish within this bound.
+SPARSE_BOUND_S = 5.0
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    elapsed = time.perf_counter() - start
+    assert elapsed < SPARSE_BOUND_S, f"took {elapsed:.1f} s"
+    return out
+
+
+def test_taylor_jet_of_a_sparse_high_degree_polynomial():
+    p = parse_polynomial("x1^100000 + x2")
+    third = Fraction(1, 3)
+    jet = _timed(taylor_jet, p, (third, Fraction(1, 5)), 2)
+    assert jet == JetVector.from_mapping(2, 2, {
+        (0, 0): third**100000 + Fraction(1, 5),
+        (1, 0): 100000 * third**99999,
+        (0, 1): 1,
+        (2, 0): 100000 * 99999 * third**99998,
+    })
+
+
+def test_shift_of_a_sparse_high_degree_polynomial():
+    # x1 stays put, so the result keeps three terms
+    p = parse_polynomial("x1^100000 + x2")
+    assert _timed(shift, p, (Fraction(0), Fraction(1, 5))) == p + Fraction(1, 5)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dense_oracle
+import kernel_oracle
 from jetforge.algebra import MultiPoly
-from jetforge.linalg import mat_vec, rank, solve
-from jetforge.scalar import Scalar
+from jetforge.linalg import _eliminate, mat_vec, rank, solve
+from jetforge.scalar import ONE, Scalar, _from_gaussian
 from jetforge.symbols import LinearSymbol, fiber_matrix, lewy_symbol, prolong
 
 
@@ -83,8 +85,21 @@ entries = st.one_of(
 )
 
 
+# parts over unrelated denominators, so a row's common denominator is
+# larger than any one entry's
+gaussian_entries = st.one_of(
+    st.just(Scalar()),
+    st.builds(
+        Scalar,
+        st.fractions(min_value=-40, max_value=40, max_denominator=12),
+        st.fractions(min_value=-40, max_value=40, max_denominator=35),
+    ),
+    st.builds(Scalar, st.just(0), st.fractions(min_value=-9, max_value=9)),
+)
+
+
 @st.composite
-def systems(draw):
+def systems(draw, entries=entries):
     """Sparse matrices with zero, duplicated and dependent rows, and a rhs
     drawn inside the image or at random (usually outside it)."""
     n_cols = draw(st.integers(0, 7))
@@ -112,8 +127,9 @@ def systems(draw):
 def assert_matches_oracle(matrix, rhs):
     matrix_before = [list(row) for row in matrix]
     rhs_before = list(rhs)
-    assert rank(matrix) == dense_oracle.rank(matrix)
-    assert solve(matrix, rhs) == dense_oracle.solve(matrix, rhs)
+    assert rank(matrix) == dense_oracle.rank(matrix) == kernel_oracle.rank(matrix)
+    expected = dense_oracle.solve(matrix, rhs)
+    assert solve(matrix, rhs) == expected == kernel_oracle.solve(matrix, rhs)
     assert matrix == matrix_before
     assert rhs == rhs_before
 
@@ -122,6 +138,45 @@ def assert_matches_oracle(matrix, rhs):
 @given(systems())
 def test_sparse_matches_dense_oracle(system):
     assert_matches_oracle(*system)
+
+
+def unit_pivot_rows(matrix, rhs):
+    """The integer pivot rows divided by their leads, as Scalar rows, after
+    checking that each lead is positive and each row primitive."""
+    pivot_rows, n_cols, consistent = _eliminate(matrix, rhs)
+    unit = {}
+    for lead, (n, rest) in pivot_rows.items():
+        assert n > 0
+        assert math.gcd(n, *[x for _, pair in rest for x in pair]) == 1
+        values = _from_gaussian(n, [pair for _, pair in rest])
+        unit[lead] = {lead: ONE, **dict(zip([j for j, _ in rest], values))}
+    return unit, n_cols, consistent
+
+
+@settings(max_examples=150)
+@given(systems(gaussian_entries))
+def test_integer_elimination_matches_scalar_oracle(system):
+    matrix, rhs = system
+    assert solve(matrix, rhs) == kernel_oracle.solve(matrix, rhs)
+    assert rank(matrix) == kernel_oracle.rank(matrix)
+    # each pivot row is the oracle's unit pivot row times its positive lead
+    assert unit_pivot_rows(matrix, rhs) == kernel_oracle._eliminate(matrix, rhs)
+
+
+def test_integer_elimination_edge_cases():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [
+        ([], []),  # the empty matrix
+        ([[S(0), S(0)], [S(0), S(0)]], [S(0), S(0)]),  # zero rows
+        ([[S(0), S(0)]], [S(1)]),  # a zero row with a nonzero rhs
+        ([[S(half, third), S(1)], [S(1, Fraction(2, 3)), S(2, -2)]], [S(0, 1), S(third)]),
+        ([[S(1, 1), S(2)], [S(2, 2), S(4)]], [S(1), S(3)]),  # rank 1, inconsistent
+        ([[S(1, 1), S(2)], [S(2, 2), S(4)]], [S(1), S(2)]),  # rank 1, consistent
+        ([[S(0, 3), S(0, 6)], [S(5), S(0)]], [S(0, 9), S(0)]),  # purely imaginary lead
+    ]
+    for matrix, rhs in cases:
+        assert_matches_oracle(matrix, rhs)
+        assert unit_pivot_rows(matrix, rhs) == kernel_oracle._eliminate(matrix, rhs)
 
 
 def test_empty_matrix_matches_oracle():

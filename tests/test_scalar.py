@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from jetforge.scalar import Scalar
+from jetforge.scalar import Scalar, _from_gaussian, _to_gaussian
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -73,3 +74,25 @@ def test_text_forms():
     assert str(Scalar(0, Fraction(5, 3))) == "5/3*i"
     assert str(Scalar(1, 2)) == "(1 + 2*i)"
     assert str(Scalar(1, -2)) == "(1 - 2*i)"
+
+
+# -- the Gaussian-integer conversion pair the integer kernels use ----------
+
+def test_gaussian_conversion_examples():
+    assert _to_gaussian([]) == (1, [])
+    assert _from_gaussian(1, []) == []
+    values = [Scalar(Fraction(1, 2), Fraction(1, 3)), Scalar(0, Fraction(-2, 5)),
+              Scalar(), Scalar(7)]
+    assert _to_gaussian(values) == (30, [(15, 10), (0, -12), (0, 0), (210, 0)])
+    assert _from_gaussian(*_to_gaussian(values)) == values
+
+
+@given(st.lists(scalars, max_size=6))
+def test_gaussian_conversion_round_trips(values):
+    den, pairs = _to_gaussian(values)
+    assert all(type(x) is int for pair in pairs for x in pair)
+    parts = [f for v in values for f in (v.re, v.im)]
+    assert den == math.lcm(*[f.denominator for f in parts])
+    back = _from_gaussian(den, pairs)
+    assert back == values
+    assert [str(v) for v in back] == [str(v) for v in values]
