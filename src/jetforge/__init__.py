@@ -5,8 +5,6 @@ engine claims (prolongation formulas, vanishing orders, jet solutions)
 is an exact equality, never an approximation.
 """
 
-from importlib import resources
-
 from .algebra import (
     MultiPoly,
     RationalPoint,
@@ -89,4 +87,6 @@ __version__ = "0.1.0"
 
 def schema_path():
     """Filesystem path of the shipped CLI report JSON schema."""
+    from importlib import resources  # here, not at import: a fifth of that time
+
     return resources.files(__package__) / "schemas" / "report.schema.json"

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import product
-from operator import add
+from itertools import count, product
+from operator import add, mul
 
 from .errors import DimensionMismatch, DuplicatePoints, NotAUnit
 from .jets import JetVector, MultiIndex, _indices, factorial, graded_key, weight
@@ -365,23 +365,27 @@ def local_inverse_truncated(p: MultiPoly, x0: RationalPoint, k: int) -> MultiPol
     return taylor_polynomial(jet_quotient(one, taylor_jet(p, x0, k)), x0)
 
 
-def _norm_squared(m: int, x0: RationalPoint) -> MultiPoly:
-    """The polynomial ||x - x0||^2 = sum_i (x_i - x0_i)^2."""
-    total = MultiPoly.zero(m)
-    for i in range(1, m + 1):
-        d = MultiPoly.variable(m, i) - MultiPoly.constant(m, Fraction(x0[i - 1]))
-        total = total + d * d
-    return total
+def _separating_form(points) -> list[int]:
+    """Weights (1, t, t^2, ...) of l(x) = sum_i t^(i-1) x_i for the least
+    integer t >= 0 at which l separates the points.  Each pair of points
+    rules out at most m-1 values of t (the roots of a nonzero polynomial of
+    degree <= m-1), so some t <= (m-1)*C(n, 2) works."""
+    m = len(points[0])
+    for t in count():
+        weights = [t**i for i in range(m)]
+        if len({sum(map(mul, weights, p)) for p in points}) == len(points):
+            return weights
 
 
 def hermite_interpolate(points, jets, k: int) -> MultiPoly:
     """Polynomial matching a prescribed order-k jet at each of several points.
 
-    Each point x_j gets the bump B_j = prod_{l != j} ||x - x_l||^(2(k+1)),
-    which is nonzero at x_j and vanishes to order >= k+1 at every other
-    point; it is multiplied by the degree <= k polynomial whose k-jet at x_j
-    is jet_j / jet(B_j), so a constant factor of B_j would cancel.  The
-    result matches every prescribed jet exactly.
+    Each point x_j gets the bump B_j = prod_{l != j} (l(x) - l(x_l))^(k+1)
+    for the separating linear form l: nonzero at x_j, vanishing to order
+    >= k+1 at every other point.  It is multiplied by the degree <= k
+    polynomial whose k-jet at x_j is jet_j / jet(B_j), so a constant factor
+    of B_j would cancel.  The result, of degree <= (k+1)(n-1) + k for n
+    points, matches every prescribed jet exactly.
     """
     points = distinct_points(points)
     m = len(points[0])
@@ -396,7 +400,9 @@ def hermite_interpolate(points, jets, k: int) -> MultiPoly:
                 f"jets must have dimension {m} and order {k}"
             )
 
-    powers = [_norm_squared(m, p) ** (k + 1) for p in points]
+    weights = _separating_form(points)
+    form = MultiPoly(m, dict(zip(_indices(m, 1)[1:], weights)))
+    powers = [(form - sum(map(mul, weights, p))) ** (k + 1) for p in points]
     result = MultiPoly.zero(m)
     for j, (pj, jet) in enumerate(zip(points, jets)):
         bump_poly = MultiPoly.constant(m, 1)

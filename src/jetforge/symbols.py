@@ -122,7 +122,9 @@ def apply_operator(sym: LinearSymbol, f: MultiPoly) -> MultiPoly:
     return out
 
 
-@lru_cache(maxsize=4096)
+# every fresh operator adds entries that hold whole symbols, so the bound
+# sets peak memory; 1024 still holds a level-8 prolongation for m <= 4
+@lru_cache(maxsize=1024)
 def _total_derivative_cached(sym: LinearSymbol, i: int) -> LinearSymbol:
     out: dict[MultiIndex, MultiPoly] = {}
 

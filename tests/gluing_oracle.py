@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from jetforge.algebra import (
     MultiPoly,
     RationalPoint,
     _centred,
-    _norm_squared,
     distinct_points,
     rational_point,
 )
@@ -116,13 +115,34 @@ def local_inverse_truncated(p: MultiPoly, x0: RationalPoint, k: int) -> MultiPol
     return shift(series, back)
 
 
+def separating_form(points: list[RationalPoint]) -> MultiPoly:
+    """The linear form sum_i t^(i-1) x_i for the least integer t >= 0 at
+    which no two of the points take the same value, found pair by pair."""
+    m = len(points[0])
+    t = 0
+    while True:
+        weights = [Fraction(t) ** i for i in range(m)]
+        if all(
+            sum(w * (a - b) for w, a, b in zip(weights, p, q))
+            for p, q in combinations(points, 2)
+        ):
+            break
+        t += 1
+    form = MultiPoly.zero(m)
+    for i, w in enumerate(weights):
+        form = form + MultiPoly.monomial(m, tuple(int(i == j) for j in range(m)), w)
+    return form
+
+
 def hermite_interpolate(points, jets, k: int) -> MultiPoly:
     """Polynomial matching a prescribed order-k jet at each of several points.
 
-    Each point x_j gets a bump polynomial B_j that equals 1 at x_j and
-    vanishes to order >= k+1 at every other point; the jet data is carried
-    by a degree <= k factor corrected with the truncated local inverse of
-    B_j.  The result matches every prescribed jet exactly.
+    Each point x_j gets the bump polynomial B_j, the product over l != j
+    of ((f - f(x_l)) / (f(x_j) - f(x_l)))^(k+1) for the separating linear
+    form f: it equals 1 at x_j and vanishes to order >= k+1 at every other
+    point.  The jet data is carried by a degree <= k factor corrected with
+    the truncated local inverse of B_j.  The result matches every
+    prescribed jet exactly.
     """
     points = distinct_points(points)
     m = len(points[0])
@@ -137,15 +157,16 @@ def hermite_interpolate(points, jets, k: int) -> MultiPoly:
                 f"jets must have dimension {m} and order {k}"
             )
 
+    form = separating_form(points)
     result = MultiPoly.zero(m)
     for j, (pj, jet) in enumerate(zip(points, jets)):
         bump_poly = MultiPoly.constant(m, 1)
         for l, pl in enumerate(points):
             if l == j:
                 continue
-            nsq = _norm_squared(m, pl)
-            denom = nsq.evaluate(pj)
-            bump_poly = bump_poly * (nsq * (Scalar(1) / denom)) ** (k + 1)
+            factor = form - form.evaluate(pl)
+            denom = factor.evaluate(pj)
+            bump_poly = bump_poly * (factor * (Scalar(1) / denom)) ** (k + 1)
         inv = local_inverse_truncated(bump_poly, pj, k)
         target = taylor_polynomial(jet, pj)
         corrected = taylor_polynomial(taylor_jet(target * inv, pj, k), pj)

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -12,6 +11,7 @@ from jetforge import solver
 from jetforge.algebra import (
     MultiPoly,
     _recentred,
+    _separating_form,
     derivative,
     evaluate,
     format_poly,
@@ -389,17 +389,8 @@ def test_interpolation_random_exactness():
             assert taylor_jet(f, p, k) == jet
 
 
-# every base dimension, jet order and point count is drawn; shapes whose
-# interpolant has more than 300 possible terms (bump degree 2(k+1)(n-1)) are
-# left out to keep the oracle within seconds (it takes a minute on m=3, k=3
-# at 4 points)
-GLUE_SHAPES = [
-    (m, k, n)
-    for m in range(1, 4)
-    for k in range(4)
-    for n in range(1, 5)
-    if math.comb(2 * (k + 1) * (n - 1) + k + m, m) <= 300
-]
+# every base dimension, jet order and point count is drawn
+GLUE_SHAPES = [(m, k, n) for m in range(1, 4) for k in range(4) for n in range(1, 5)]
 small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
 
@@ -424,6 +415,48 @@ def test_interpolation_matches_polynomial_inverse_oracle(problem):
     assert hermite_interpolate(points, jets, k) == gluing_oracle.hermite_interpolate(
         points, jets, k
     )
+
+
+@given(gluing_problems())
+@settings(max_examples=20)
+def test_interpolation_degree_is_bounded(problem):
+    # each bump has degree (k+1)(n-1), its factor degree <= k
+    points, jets, k = problem
+    f = hermite_interpolate(points, jets, k)
+    assert f.degree <= (k + 1) * (len(points) - 1) + k
+    for p, jet in zip(points, jets):
+        assert taylor_jet(f, p, k) == jet
+
+
+@pytest.mark.parametrize(
+    "points, weights",
+    [
+        ([(5,)], [1]),
+        ([(0, 0, 0)], [1, 0, 0]),
+        ([(2,), (-1,), (0,)], [1]),
+        ([(0, 1), (1, 0)], [1, 0]),
+        # t = 0 (x1) and t = 1 (x1 + x2) both take one value twice
+        ([(0, 1), (1, 0), (0, 0)], [1, 2]),
+    ],
+)
+def test_separating_form_takes_the_least_t_and_glues(points, weights):
+    points = [frac_point(*p) for p in points]
+    assert _separating_form(points) == weights
+    m = len(weights)
+    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    assert gluing_oracle.separating_form(points) == poly(m, dict(zip(units, weights)))
+    rng = random.Random(23)
+    for k in range(3):
+        jets = [
+            JetVector(m, k, [Scalar(rng.randint(-3, 3), rng.randint(-1, 1))
+                             for _ in range(jet_dimension(m, k))])
+            for _ in points
+        ]
+        f = hermite_interpolate(points, jets, k)
+        assert f == gluing_oracle.hermite_interpolate(points, jets, k)
+        assert f.degree <= (k + 1) * (len(points) - 1) + k
+        for p, jet in zip(points, jets):
+            assert taylor_jet(f, p, k) == jet
 
 
 # -- printing ---------------------------------------------------------------

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -165,6 +168,17 @@ def test_check_seed_0_output_is_pinned(capsys):
     )
 
 
+def test_cli_import_leaves_importlib_resources_unloaded():
+    # -S keeps site hooks from importing it first; schema_path imports it on call
+    code = "import sys, jetforge.cli; print('importlib.resources' in sys.modules)"
+    src = str(Path(jetforge.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+    )
+    assert out.stdout == "False\n"
+
+
 def test_parse_error_exit_two(capsys):
     code = run_command(["vanish", "--op", "d[1", "--point", "0"])
     assert code == 2
@@ -309,16 +323,14 @@ def test_solve_multi_pinned_polynomial(capsys, schema, tmp_path):
     )
     assert code == 0
     jsonschema.validate(report, schema)
-    assert report["polynomial"] == (
-        "1 - 330*x1^4 + 1848*x1^5 - 4620*x1^6 + 6600*x1^7 - 5655*x1^8"
-        " + 2765*x1^9 - 644*x1^10 + 36*x1^11"
-    )
+    # bumps (x1 - 1)^4 and x1^4: degree (k+1)(n-1) + k = 7 for k = 3, n = 2
+    assert report["polynomial"] == "1 - 15*x1^4 + 39*x1^5 - 34*x1^6 + 10*x1^7"
     assert report["post_check"] == "exact"
 
 
 def test_solve_multi_pinned_lewy_three_points(capsys, schema, lewy_file, tmp_path):
-    # multi-variable gluing: 3 bumps in R^3, jets of order 2; the digest and
-    # the leading terms were captured before gluing moved to jet quotients
+    # multi-variable gluing: 3 bumps in R^3, jets of order 2, glued along the
+    # separating form x1 + x2 + x3 (x1 alone takes 0 at two of the points)
     points = tmp_path / "points.txt"
     points.write_text("0,0,0\n1,0,0\n0,1/2,1\n")
     code, report = run_json(
@@ -331,10 +343,10 @@ def test_solve_multi_pinned_lewy_three_points(capsys, schema, lewy_file, tmp_pat
     assert code == 0
     jsonschema.validate(report, schema)
     text = report["polynomial"]
-    assert text.startswith("1/2*x1^2 - 3*x1^3 - 6/5*x1^2*x2 - 12/5*x1^2*x3 + ")
-    assert len(text) == 15122
+    assert text.startswith("1/2*x1^2 + 65*x1^3 + 200*x1^2*x2 + 200*x1^2*x3 + ")
+    assert len(text) == 2539
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "0cab8367f43b4fd48ebd700f447494e20d9504e4d70dbed47ea1b0acae2453eb"
+        "ada42dbe75cc1cb4835badebe105258c8bdfb988dbd19ada70190e586701aba4"
     )
     assert report["post_check"] == "exact"
 

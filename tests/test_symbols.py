@@ -18,6 +18,7 @@ from jetforge.symbols import (
     principal_part,
     prolong,
     total_derivative,
+    _total_derivative_cached,
 )
 
 ORIGIN3 = (Fraction(0),) * 3
@@ -183,6 +184,24 @@ def test_prolong_second_level_component():
         },
     )
     assert pro.component((2,)) == expected
+
+
+def test_second_prolong_is_served_from_the_derivative_cache():
+    # an operator no other test builds, so the first prolong misses
+    sym = LinearSymbol(
+        3,
+        1,
+        {
+            (1, 0, 0): MultiPoly.constant(3, 1),
+            (0, 0, 1): MultiPoly(3, {(0, 1, 0): Fraction(5, 7), (0, 0, 1): 1}),
+        },
+    )
+    prolong(sym, 8)
+    before = _total_derivative_cached.cache_info()
+    prolong(sym, 8)
+    after = _total_derivative_cached.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == len(enumerate_multiindices(3, 8)) - 1
 
 
 # -- fiber matrices ---------------------------------------------------------
