@@ -104,9 +104,6 @@ class MultiPoly:
     def monomial(cls, num_vars: int, alpha: MultiIndex, coeff=1) -> "MultiPoly":
         return cls(num_vars, {tuple(alpha): Scalar.coerce(coeff)})
 
-    def coeff(self, alpha: MultiIndex) -> Scalar:
-        return self.terms.get(tuple(alpha), Scalar())
-
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

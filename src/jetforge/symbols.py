@@ -81,9 +81,6 @@ class LinearSymbol:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, alpha: MultiIndex) -> MultiPoly:
-        return self.terms.get(tuple(alpha), MultiPoly.zero(self.base_dim))
-
     def __eq__(self, other):
         if not isinstance(other, LinearSymbol):
             return NotImplemented
@@ -308,12 +305,15 @@ def format_operator(sym: LinearSymbol) -> str:
     if not sym.terms:
         return "0"
     parts = []
+    constant = (0,) * sym.base_dim
     for alpha in sorted(sym.terms, key=graded_key):
         coeff = sym.terms[alpha]
         slot = "d[" + ",".join(str(a) for a in alpha) + "]"
-        if coeff == 1:
+        # the one zero-exponent term of a constant coefficient, else None
+        c = coeff.terms.get(constant) if len(coeff.terms) == 1 else None
+        if c == 1:
             parts.append(slot)
-        elif coeff == -1:
+        elif c == -1:
             parts.append("-" + slot)
         elif len(coeff.terms) > 1:
             parts.append(f"({format_poly(coeff)})*{slot}")

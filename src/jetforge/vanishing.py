@@ -27,10 +27,6 @@ class VanishingReport:
     kind: str
     order: Optional[int] = None
 
-    @property
-    def is_zero_map(self) -> bool:
-        return self.kind != NOT_VANISHING
-
     def to_json_dict(self) -> dict:
         if self.kind == EXACTLY:
             order = {"exactly": self.order}

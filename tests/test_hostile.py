@@ -1,5 +1,6 @@
-"""Hostile input exits 2 with a message, never with a traceback; and a
-source guard against module-level imports nothing uses."""
+"""Hostile input exits 2 with a message, never with a traceback, and
+finishes in bounded time; and source guards against module-level imports
+nothing uses and private functions and classes nothing calls."""
 
 import ast
 import time
@@ -43,6 +44,53 @@ def test_no_unused_module_imports(path):
 def test_unused_import_guard_sees_an_unused_name():
     source = "from fractions import Fraction\nimport math\nx = math.pi\n"
     assert _unused_imports(source) == ["Fraction"]
+
+
+def _unreferenced_privates(sources: list[str]) -> list[str]:
+    """Module-level _private functions and classes no other statement names.
+
+    A name counts as referenced where a Name, an attribute or an import
+    alias outside the defining statement spells it, in any of the sources.
+    """
+    spelling = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    statements = [node for source in sources for node in ast.parse(source).body]
+    names = [
+        {
+            getattr(node, spelling[type(node)])
+            for node in ast.walk(statement)
+            if type(node) in spelling
+        }
+        for statement in statements
+    ]
+    return [
+        statement.name
+        for k, statement in enumerate(statements)
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+        and statement.name.startswith("_")
+        and not statement.name.startswith("__")
+        and not any(statement.name in used for j, used in enumerate(names) if j != k)
+    ]
+
+
+def test_no_unreferenced_private_functions_or_classes():
+    package = Path(jetforge.__file__).parent.glob("*.py")
+    sources = [path.read_text(encoding="utf-8") for path in sorted(package)]
+    assert _unreferenced_privates(sources) == []
+
+
+def test_private_guard_sees_an_unreferenced_definition():
+    used_elsewhere = "from .a import _imported\nx = m._called_as_attribute\n"
+    source = (
+        "def _imported(): pass\n"
+        "def _called_as_attribute(): pass\n"
+        "def _recursive(): return _recursive()\n"
+        "class _Unused: pass\n"
+        "def __getattr__(name): pass\n"
+        "def public(): pass\n"
+    )
+    assert _unreferenced_privates([source, used_elsewhere]) == [
+        "_recursive", "_Unused"
+    ]
 
 
 def _nested(depth: int, inner: str) -> str:
@@ -125,3 +173,26 @@ def test_shift_of_a_sparse_high_degree_polynomial():
     # x1 stays put, so the result keeps three terms
     p = parse_polynomial("x1^100000 + x2")
     assert _timed(shift, p, (Fraction(0), Fraction(1, 5))) == p + Fraction(1, 5)
+
+
+# pcp isolates rational roots by bisecting a root bound, so a right-hand
+# side of many digits costs steps in proportion to its digit count.  A
+# search over the divisors of the constant takes 13 s on the second case
+# and longer than anyone waits on the next two.  On the last, bisecting
+# Cauchy's bound (the largest coefficient, 3^319 * C(320, 160) after
+# z = 3y) takes 13 s.  Each case must finish within the same bound as above.
+@pytest.mark.parametrize("op, rhs, code, out", [
+    ("y[1]^2", "1000000000000000000000000000000007", 1,
+     "no witness: freeze-and-solve univariate in y[1]: no rational root; "
+     "isolated 2 real root(s)\n"),
+    ("y[1]^3 + y[0]", "12345678901234567", 0,
+     "witness: y[0] = 12345678901234567\n"),
+    ("y[1]^2", str(10**82), 0, f"witness: y[1] = {10**41}\n"),
+    ("3*(y[1] + 1)^320 + 5*y[1]^3", "7", 1,
+     "no witness: freeze-and-solve univariate in y[1]: no rational root; "
+     "isolated 2 real root(s)\n"),
+], ids=["no-rational-root", "linear", "square-of-10^41", "degree-320"])
+def test_pcp_with_a_right_hand_side_of_many_digits(capsys, op, rhs, code, out):
+    argv = ["pcp", "--op", op, "--point", "0", "--rhs", rhs]
+    assert _timed(run_command, argv) == code
+    assert capsys.readouterr() == (out, "")

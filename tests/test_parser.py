@@ -173,6 +173,25 @@ def test_operator_round_trip_random():
         assert parse_operator(format_operator(sym), order=r) == sym
 
 
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("d[1]", "d[1]"),
+        ("-d[1]", "-d[1]"),
+        (
+            "d[0,1] - d[1,0] + x1*d[2,0] - x2*d[1,1] + 2*d[0,2] + i*d[0,0]"
+            " - i*d[3,0] + (x1+1)*d[1,2] - 1/2*d[2,1]",
+            "i*d[0,0] - d[1,0] + d[0,1] + x1*d[2,0] - x2*d[1,1] + 2*d[0,2]"
+            " - i*d[3,0] - 1/2*d[2,1] + (1 + x1)*d[1,2]",
+        ),
+    ],
+)
+def test_format_operator_prints_unit_coefficients_bare(text, printed):
+    # only the constants 1 and -1 print as a bare or negated slot: not x1,
+    # -x2 or -i, whose single term is not at the zero exponent or not real
+    assert format_operator(parse_operator(text)) == printed
+
+
 # -- located semantic errors ------------------------------------------------
 
 @pytest.mark.parametrize(

@@ -1,12 +1,10 @@
 from fractions import Fraction
 
-from jetforge.roots import (
-    count_real_roots,
-    first_rational_root,
-    poly_gcd,
-    rational_root_candidates,
-    sturm_chain,
-)
+from hypothesis import given, settings, strategies as st
+
+import roots_oracle
+from jetforge.roots import count_real_roots, first_rational_root, poly_gcd
+from roots_oracle import rational_root_candidates, sturm_chain
 
 
 def F(*values):
@@ -41,6 +39,10 @@ def test_first_rational_root():
     assert first_rational_root(F(0, -1, 2)) == 0
     # 3y - 2
     assert first_rational_root(F(-2, 3)) == Fraction(2, 3)
+    # 4y^2 - 1: roots +-1/2, found only through z = 4y
+    assert first_rational_root(F(-1, 0, 4)) == Fraction(1, 2)
+    # (y + 1)(2y - 3): the nearer root is negative
+    assert first_rational_root(F(-3, -1, 2)) == -1
 
 
 def test_fractional_coefficients_cleared():
@@ -55,3 +57,87 @@ def test_poly_gcd():
     assert poly_gcd(F(1, 1), F(2, 1)) == F(1)
     # gcd with zero
     assert poly_gcd([], F(0, 2)) == F(0, 1)
+
+
+def _times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _planted(roots, factor, scale):
+    """scale * factor(y) * prod (q*y - p) over the roots p/q."""
+    poly = F(*factor)
+    for r in roots:
+        poly = _times(poly, F(-r.numerator, r.denominator))
+    return [c * scale for c in poly]
+
+
+def _rationals(height):
+    return st.builds(
+        Fraction, st.integers(-height, height), st.integers(1, 6)
+    )
+
+
+# real factors with no rational root: none, y^2 + k (no real root),
+# y^2 - 2 and y^2 - 3 (irrational roots)
+FACTORS = [(1,), (1, 0, 1), (5, 0, 1), (-2, 0, 1), (-3, 0, 1)]
+
+
+@st.composite
+def equations(draw):
+    """Equations of degree 1-5 whose divisor search stays fast."""
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 5))
+        coeffs = draw(st.lists(_rationals(30), min_size=degree, max_size=degree))
+        lead = draw(_rationals(30).filter(bool))
+        return coeffs + [lead]
+    factor = draw(st.sampled_from(FACTORS))
+    roots = draw(st.lists(_rationals(12), max_size=5 - len(factor) + 1))
+    if roots and draw(st.booleans()):
+        roots.append(draw(st.sampled_from(roots)))  # a repeated root
+    if roots and draw(st.booleans()):
+        roots[0] = -roots[-1]  # a tie in absolute value
+    big = draw(st.integers(-10**4, 10**4).filter(bool))
+    if roots and draw(st.booleans()):
+        roots[-1] = Fraction(big, draw(st.integers(1, 6)))  # large height
+    roots = roots[: 5 - len(factor) + 1]
+    if len(roots) + len(factor) == 1:
+        roots = [Fraction(big)]
+    scale = Fraction(draw(st.sampled_from([1, -1, 2, -3])), draw(st.integers(1, 3)))
+    return _planted(roots, factor, scale)
+
+
+@settings(max_examples=300)
+@given(equations())
+def test_roots_match_divisor_search_oracle(coeffs):
+    assert first_rational_root(coeffs) == roots_oracle.first_rational_root(coeffs)
+    assert count_real_roots(coeffs) == roots_oracle.count_real_roots(coeffs)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(_rationals(10**30).filter(bool), min_size=1, max_size=3),
+    st.sampled_from(FACTORS),
+    st.booleans(),
+)
+def test_planted_roots_of_any_height_are_found(roots, factor, with_zero):
+    # far past the divisor search: the answer is read off the planted roots
+    roots = roots[: 5 - len(factor) + 1 - with_zero] + [Fraction(0)] * with_zero
+    coeffs = _planted(roots, factor, Fraction(-7, 3))
+    first = min(roots, key=lambda r: (abs(r), r < 0))
+    assert first_rational_root(coeffs) == first
+    irrational = 2 if factor[0] < 0 else 0
+    assert count_real_roots(coeffs) == len(set(roots)) + irrational
+
+
+def test_no_real_root_and_constants():
+    for coeffs in (F(1, 0, 1), F(5, 0, 6, 0, 1), F(7), F(0), []):
+        assert first_rational_root(coeffs) is None
+        assert count_real_roots(coeffs) == 0
+    # a root of height 10^41 behind a constant of 83 digits
+    square = F(-(10**82), 0, 1)
+    assert first_rational_root(square) == 10**41
+    assert count_real_roots(square) == 2
