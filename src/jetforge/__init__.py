@@ -9,7 +9,6 @@ from .algebra import (
     MultiPoly,
     RationalPoint,
     derivative,
-    evaluate,
     format_poly,
     hermite_interpolate,
     jet_quotient,
@@ -34,7 +33,6 @@ from .jets import (
     MultiIndex,
     enumerate_multiindices,
     jet_dimension,
-    project,
 )
 from .parser import (
     parse_operator,
@@ -48,7 +46,6 @@ from .solver import (
     PCPWitness,
     RankReport,
     Solution,
-    borel_realize,
     check_surjectivity,
     lift_jet,
     membership_I,
@@ -56,7 +53,6 @@ from .solver import (
     residual_vanishes,
     solve,
     solve_at_points,
-    solve_to_order,
 )
 from .symbols import (
     GeneralSymbol,

@@ -257,10 +257,6 @@ def derivative(p: MultiPoly, alpha: MultiIndex) -> MultiPoly:
     return out
 
 
-def evaluate(p: MultiPoly, x0: RationalPoint) -> Scalar:
-    return p.evaluate(x0)
-
-
 def _recentred(p: MultiPoly, x0: RationalPoint, k: int) -> dict[MultiIndex, Scalar]:
     """Coefficients of weight <= k of q(u) = p(u + x0), which are D^a p(x0)/a!.
 

@@ -24,13 +24,7 @@ from .errors import JetforgeError, UnsolvableError
 from .jets import graded_key, jet_dimension
 from .parser import parse_operator, parse_pdo, parse_point, parse_polynomial
 from .solver import check_surjectivity, pcp_check, residual_vanishes, solve
-from .symbols import (
-    LinearSymbol,
-    format_general,
-    format_operator,
-    principal_part,
-    prolong,
-)
+from .symbols import LinearSymbol, format_operator, principal_part, prolong
 from .vanishing import finsupp_scan
 
 DEFAULT_MAX_PROLONG = 8
@@ -77,12 +71,6 @@ def _load_linear(op_arg: str) -> LinearSymbol:
     if not isinstance(sym, LinearSymbol):
         raise JetforgeError("this command needs a linear operator (d[...] atoms)")
     return sym
-
-
-def _format_symbol(sym) -> str:
-    if isinstance(sym, LinearSymbol):
-        return format_operator(sym)
-    return format_general(sym)
 
 
 def _point_json(point) -> list:
@@ -165,7 +153,7 @@ def _cmd_symbol(args) -> tuple[dict, int]:
         "kind": "symbol",
         "dim": sym.base_dim,
         "order": sym.order,
-        "total": _format_symbol(sym),
+        "total": str(sym),
         "principal": principal,
     }
     return report, 0

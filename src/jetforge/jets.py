@@ -225,7 +225,3 @@ class JetVector:
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.entries)
         return f"JetVector(m={self.base_dim}, order={self.order}, [{vals}])"
-
-
-def project(jet: JetVector, l: int) -> JetVector:
-    return jet.project(l)

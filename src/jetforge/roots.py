@@ -1,10 +1,12 @@
 """Univariate root hunting over exact rationals.
 
 Polynomials here are coefficient lists ``[c0, c1, ...]`` of Fractions
-(low degree first).  Rational roots are isolated in integers: a primitive
-integer polynomial P with lead a > 0 becomes, with z = a*x, a monic Q
-whose integer roots are a times P's rational roots.  An integer Sturm
-chain counts Q's roots between half-integers, where Q never vanishes, so
+(low degree first).  Every remainder is taken in integers, by the one
+pseudo-division loop ``_prem`` that the gcd and the Sturm chains share.
+Rational roots are isolated in integers too: a primitive integer
+polynomial P with lead a > 0 becomes, with z = a*x, a monic Q whose
+integer roots are a times P's rational roots.  An integer Sturm chain
+counts Q's roots between half-integers, where Q never vanishes, so
 bisecting Q's root bound finds them in steps logarithmic in the bound.
 """
 
@@ -21,32 +23,17 @@ def normalize(coeffs) -> list[Fraction]:
     return out
 
 
-def poly_rem(a, b) -> list[Fraction]:
-    a = normalize(a)
-    b = normalize(b)
-    if not b:
-        raise ZeroDivisionError("polynomial remainder by zero")
-    lead = b[-1]
-    while len(a) >= len(b):
-        factor = a[-1] / lead
-        shift_by = len(a) - len(b)
-        for j, c in enumerate(b):
-            a[j + shift_by] -= factor * c
-        a = normalize(a)
-        if not a:
-            break
-    return a
-
-
 def poly_gcd(a, b) -> list[Fraction]:
-    """Monic gcd over the rationals."""
-    a, b = normalize(a), normalize(b)
+    """Monic gcd over the rationals.
+
+    Euclid runs on primitive integer polynomials: each pseudo-remainder is
+    a rational multiple of the remainder, which leaves the gcd's roots alone.
+    """
+    a, b = [p and _integer_poly(p) for p in (normalize(a), normalize(b))]
     while b:
-        a, b = b, poly_rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+        r = _prem(a, b)
+        a, b = b, r and _integer_poly(r)
+    return [Fraction(c, a[-1]) for c in a]
 
 
 def _integer_poly(coeffs: list[Fraction]) -> list[int]:
@@ -55,6 +42,25 @@ def _integer_poly(coeffs: list[Fraction]) -> list[int]:
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
     g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
     return [c // g for c in ints]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b over the rationals, times a positive integer.
+
+    Pseudo-division with b's lead made positive: a <- lead*a - top*x^shift*b
+    until deg a < deg b, so the remainder keeps its signs everywhere.
+    """
+    b = b if b[-1] > 0 else [-c for c in b]
+    lead, a = b[-1], list(a)
+    while len(a) >= len(b):
+        top = a.pop()
+        shift = len(a) + 1 - len(b)
+        a = [lead * c for c in a]
+        for j, c in enumerate(b[:-1], shift):
+            a[j] -= top * c
+        while a and not a[-1]:
+            a.pop()
+    return a
 
 
 def _sturm_chain(p: list[int]) -> list[list[int]]:
@@ -66,18 +72,7 @@ def _sturm_chain(p: list[int]) -> list[list[int]]:
     """
     chain = [p, [k * c for k, c in enumerate(p)][1:]]
     while len(chain[-1]) > 1:
-        a, b = list(chain[-2]), chain[-1]
-        b = b if b[-1] > 0 else [-c for c in b]
-        lead = b[-1]
-        # pseudo-division: a <- lead*a - top*x^shift*b until deg a < deg b
-        while len(a) >= len(b):
-            top = a.pop()
-            shift = len(a) + 1 - len(b)
-            a = [lead * c for c in a]
-            for j, c in enumerate(b[:-1], shift):
-                a[j] -= top * c
-            while a and not a[-1]:
-                a.pop()
+        a = _prem(chain[-2], chain[-1])
         if not a:
             break
         g = math.gcd(*a)

@@ -78,10 +78,6 @@ def lift_jet(sym: LinearSymbol, x0: RationalPoint, target: JetVector) -> LiftRes
     return LiftResult(JetVector(sym.base_dim, sym.order + s, solution), pivots)
 
 
-# the Taylor polynomial is the Borel realization of a finite jet
-borel_realize = taylor_polynomial
-
-
 @dataclass(frozen=True)
 class Solution:
     """A polynomial solving P(f) = g to order s at each point, with the
@@ -133,13 +129,6 @@ def residual_vanishes(
     return all(taylor_jet(residual, p, s).is_zero for p in points)
 
 
-def solve_to_order(
-    sym: LinearSymbol, g: MultiPoly, x0: RationalPoint, s: int
-) -> MultiPoly:
-    """Polynomial f with the s-jet of P(f) - g vanishing at x0, exactly."""
-    return solve(sym, g, [x0], s).polynomial
-
-
 def solve_at_points(
     sym: LinearSymbol, g: MultiPoly, points, s: int
 ) -> MultiPoly:
@@ -149,8 +138,6 @@ def solve_at_points(
 
 def check_surjectivity(sym: LinearSymbol, x0: RationalPoint, k: int) -> RankReport:
     """Exact rank of the level-k prolonged fiber map at x0."""
-    if k < 0:
-        raise ValueError("prolongation level must be >= 0")
     matrix = fiber_matrix(prolong(sym, k), x0)
     r = linalg.rank(matrix)
     return RankReport(rank=r, full=r == jet_dimension(sym.base_dim, k))

@@ -158,9 +158,6 @@ class ProlongedSymbol:
         self.level = level
         self.components = components
 
-    def component(self, beta: MultiIndex) -> LinearSymbol:
-        return self.components[tuple(beta)]
-
     def __repr__(self):
         return f"ProlongedSymbol(level={self.level}, base={self.base!r})"
 

@@ -1,17 +1,46 @@
-"""The root search and root count that jetforge.roots replaced, kept as a test oracle.
+"""The root search, count and gcd that jetforge.roots replaced, kept as a test oracle.
 
 ``first_rational_root`` tries every p/q from the divisors of the constant
 and the lead coefficient, in ``rational_root_candidates`` order, by
 Fraction Horner; ``count_real_roots`` counts sign changes of a Fraction
-Sturm chain at plus and minus a root bound.  The integer isolation in
-``jetforge.roots`` must return the same root and the same count.
+Sturm chain at plus and minus a root bound; ``poly_gcd`` is Euclid over
+Fractions.  The integer isolation and the integer gcd in
+``jetforge.roots`` must return the same root, count and gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from jetforge.roots import normalize, poly_rem
+from jetforge.roots import normalize
+
+
+def poly_rem(a, b) -> list[Fraction]:
+    a = normalize(a)
+    b = normalize(b)
+    if not b:
+        raise ZeroDivisionError("polynomial remainder by zero")
+    lead = b[-1]
+    while len(a) >= len(b):
+        factor = a[-1] / lead
+        shift_by = len(a) - len(b)
+        for j, c in enumerate(b):
+            a[j + shift_by] -= factor * c
+        a = normalize(a)
+        if not a:
+            break
+    return a
+
+
+def poly_gcd(a, b) -> list[Fraction]:
+    """Monic gcd over the rationals."""
+    a, b = normalize(a), normalize(b)
+    while b:
+        a, b = b, poly_rem(a, b)
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
 
 
 def eval_poly(coeffs, x: Fraction) -> Fraction:

@@ -13,7 +13,6 @@ from jetforge.algebra import (
     _recentred,
     _separating_form,
     derivative,
-    evaluate,
     format_poly,
     hermite_interpolate,
     jet_quotient,
@@ -124,31 +123,31 @@ def test_leibniz_rule(p, q):
 
 def test_evaluate_substitution():
     p = poly(2, {(2, 0): 1, (0, 1): 1})  # x1^2 + x2
-    assert evaluate(p, frac_point(2, 3)) == 7
+    assert p.evaluate(frac_point(2, 3)) == 7
 
 
 def test_evaluate_zero_polynomial():
-    assert evaluate(MultiPoly.zero(2), frac_point(9, -1)) == 0
+    assert MultiPoly.zero(2).evaluate(frac_point(9, -1)) == 0
 
 
 def test_evaluate_imaginary_coefficient():
     p = poly(1, {(1,): Scalar(0, 1)})  # i*x1
-    assert evaluate(p, frac_point(1)) == Scalar(0, 1)
+    assert p.evaluate(frac_point(1)) == Scalar(0, 1)
 
 
 def test_evaluate_dimension_check():
     with pytest.raises(DimensionMismatch):
-        evaluate(MultiPoly.variable(2, 1), frac_point(1))
+        MultiPoly.variable(2, 1).evaluate(frac_point(1))
 
 
 # -- taylor jets ------------------------------------------------------------
 
 def test_taylor_jet_square():
-    # independent oracle: entry alpha = evaluate(derivative(p, alpha), x0)
+    # independent oracle: entry alpha = derivative(p, alpha).evaluate(x0)
     p = poly(1, {(2,): 1})
     x0 = frac_point(1)
     oracle = [
-        evaluate(derivative(p, alpha), x0)
+        derivative(p, alpha).evaluate(x0)
         for alpha in enumerate_multiindices(1, 2)
     ]
     assert oracle == [Scalar(1), Scalar(2), Scalar(2)]
@@ -170,7 +169,7 @@ def test_taylor_jet_mixed_product_at_origin():
 def test_taylor_jet_matches_derivative_oracle(p, x0):
     jet = taylor_jet(p, x0, 3)
     for alpha in enumerate_multiindices(2, 3):
-        assert jet[alpha] == evaluate(derivative(p, alpha), x0)
+        assert jet[alpha] == derivative(p, alpha).evaluate(x0)
 
 
 @given(polys(2, max_deg=3), st.tuples(rationals, rationals))
@@ -353,8 +352,8 @@ def test_single_point_is_taylor_polynomial():
 def test_two_point_order_zero():
     jets = [JetVector(1, 0, [0]), JetVector(1, 0, [1])]
     f = hermite_interpolate([frac_point(0), frac_point(1)], jets, 0)
-    assert evaluate(f, frac_point(0)) == 0
-    assert evaluate(f, frac_point(1)) == 1
+    assert f.evaluate(frac_point(0)) == 0
+    assert f.evaluate(frac_point(1)) == 1
 
 
 def test_duplicate_points_rejected():

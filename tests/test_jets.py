@@ -10,7 +10,6 @@ from jetforge.jets import (
     bump,
     enumerate_multiindices,
     jet_dimension,
-    project,
 )
 from jetforge.scalar import Scalar
 
@@ -62,14 +61,14 @@ def test_jetvector_entry_count_enforced():
 
 def test_projection_truncates():
     jet = JetVector(1, 2, [1, 2, 2])
-    assert project(jet, 1) == JetVector(1, 1, [1, 2])
-    assert project(jet, 2) == jet
+    assert jet.project(1) == JetVector(1, 1, [1, 2])
+    assert jet.project(2) == jet
 
 
 def test_projection_too_high():
     jet = JetVector(1, 2, [1, 2, 2])
     with pytest.raises(OrderTooHigh):
-        project(jet, 3)
+        jet.project(3)
 
 
 def test_projection_tower_composes():
@@ -82,7 +81,7 @@ def test_projection_tower_composes():
         )
         mid = rng.randint(0, top)
         low = rng.randint(0, mid)
-        assert project(project(jet, mid), low) == project(jet, low)
+        assert jet.project(mid).project(low) == jet.project(low)
 
 
 def test_indexing_by_multiindex():

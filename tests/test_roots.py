@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import roots_oracle
 from jetforge.roots import count_real_roots, first_rational_root, poly_gcd
@@ -141,3 +141,29 @@ def test_no_real_root_and_constants():
     square = F(-(10**82), 0, 1)
     assert first_rational_root(square) == 10**41
     assert count_real_roots(square) == 2
+
+
+def _gcd_pairs():
+    """(a, b, coprime): a shared factor, a coprime pair, or two free draws."""
+    poly = st.lists(_rationals(9), max_size=4)  # [], zeros and constants too
+    shared = st.builds(
+        lambda f, g, c: (_times(f, c), _times(g, c), False), poly, poly, poly
+    )
+    # f and f + 1 share no root, so their gcd is 1
+    coprime = poly.map(lambda f: (f, [f[0] + 1, *f[1:]] if f else F(1), True))
+    return shared | coprime | st.tuples(poly, poly, st.just(False))
+
+
+@settings(max_examples=200)
+@given(_gcd_pairs())
+@example(([], [], False))
+@example((F(0, 0), F(0), False))
+@example(([], F(3), True))
+@example((F(-4, 0, 2), [], False))
+def test_poly_gcd_matches_fraction_euclid_oracle(pair):
+    a, b, coprime = pair
+    got = poly_gcd(a, b)
+    assert got == poly_gcd(b, a) == roots_oracle.poly_gcd(a, b)
+    assert all(type(c) is Fraction for c in got)
+    if coprime:
+        assert got == F(1)

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import pcp_oracle
 
-from jetforge.algebra import MultiPoly, evaluate, hermite_interpolate, taylor_jet
+from jetforge.algebra import MultiPoly, hermite_interpolate, taylor_jet, taylor_polynomial
 from jetforge.errors import DimensionMismatch, DuplicatePoints, UnsolvableError
 from jetforge.jets import JetVector, enumerate_multiindices, jet_dimension
 from jetforge.scalar import Scalar
 from jetforge.solver import (
-    borel_realize,
     check_surjectivity,
     lift_jet,
     membership_I,
@@ -19,7 +18,6 @@ from jetforge.solver import (
     residual_vanishes,
     solve,
     solve_at_points,
-    solve_to_order,
 )
 from jetforge.symbols import (
     GeneralSymbol,
@@ -27,6 +25,7 @@ from jetforge.symbols import (
     apply_operator,
     evaluate_general,
     lewy_symbol,
+    prolong,
 )
 
 ZERO1 = (Fraction(0),)
@@ -64,7 +63,7 @@ def test_lift_lewy_constant_target():
     result = lift_jet(lewy_symbol(), ORIGIN3, target)
     assert result.solved
     # post-check through the operator itself
-    f = borel_realize(result.jet, ORIGIN3)
+    f = taylor_polynomial(result.jet, ORIGIN3)
     residual = apply_operator(lewy_symbol(), f) - MultiPoly.constant(3, 1)
     assert taylor_jet(residual, ORIGIN3, 1).is_zero
 
@@ -88,16 +87,16 @@ def test_lift_determinism():
 
 def test_borel_square_jet():
     # [1, 2, 2] at 1: 1 + 2(x-1) + (x-1)^2 = x^2
-    f = borel_realize(JetVector(1, 2, [1, 2, 2]), (Fraction(1),))
+    f = taylor_polynomial(JetVector(1, 2, [1, 2, 2]), (Fraction(1),))
     assert f == MultiPoly.monomial(1, (2,))
 
 
 def test_borel_zero_jet():
-    assert not borel_realize(JetVector.zeros(2, 2), (Fraction(1), Fraction(2)))
+    assert not taylor_polynomial(JetVector.zeros(2, 2), (Fraction(1), Fraction(2)))
 
 
 def test_borel_constant_jet():
-    f = borel_realize(JetVector(1, 0, [7]), (Fraction(5),))
+    f = taylor_polynomial(JetVector(1, 0, [7]), (Fraction(5),))
     assert f == MultiPoly.constant(1, 7)
 
 
@@ -115,30 +114,30 @@ def test_borel_reproduces_jet():
             ],
         )
         x0 = tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
-        assert taylor_jet(borel_realize(jet, x0), x0, k) == jet
+        assert taylor_jet(taylor_polynomial(jet, x0), x0, k) == jet
 
 
 # -- solving at one point ---------------------------------------------------
 
 def test_solve_constant_rhs():
-    f = solve_to_order(ddx(), MultiPoly.constant(1, 1), ZERO1, 0)
+    f = solve(ddx(), MultiPoly.constant(1, 1), [ZERO1], 0).polynomial
     assert f == MultiPoly.variable(1, 1)
 
 
 def test_solve_linear_rhs():
-    f = solve_to_order(ddx(), MultiPoly.variable(1, 1), ZERO1, 1)
+    f = solve(ddx(), MultiPoly.variable(1, 1), [ZERO1], 1).polynomial
     assert f == MultiPoly(1, {(2,): Fraction(1, 2)})
 
 
 def test_solve_unsolvable_raises():
     with pytest.raises(UnsolvableError) as err:
-        solve_to_order(x_ddx(), MultiPoly.constant(1, 1), ZERO1, 0)
+        solve(x_ddx(), MultiPoly.constant(1, 1), [ZERO1], 0)
     assert err.value.point == (Fraction(0),)
 
 
 def test_solve_lewy_post_check():
     g = MultiPoly.variable(3, 1)
-    f = solve_to_order(lewy_symbol(), g, ORIGIN3, 2)
+    f = solve(lewy_symbol(), g, [ORIGIN3], 2).polynomial
     residual = apply_operator(lewy_symbol(), f) - g
     assert taylor_jet(residual, ORIGIN3, 2).is_zero
 
@@ -162,7 +161,7 @@ def test_solution_jet_guarantee_random():
         g = MultiPoly(
             m, {rng.choice(alphas): Fraction(rng.randint(-3, 3)) for _ in range(2)}
         )
-        f = solve_to_order(sym, g, x0, s)
+        f = solve(sym, g, [x0], s).polynomial
         assert taylor_jet(apply_operator(sym, f) - g, x0, s).is_zero
 
 
@@ -178,13 +177,13 @@ def test_singular_lewy_flat_rhs_solvable():
     sym = singular_lewy()
     g = MultiPoly.monomial(3, (2, 1, 0))  # x1^2 x2 is 2-flat at the origin
     for s in range(3):
-        f = solve_to_order(sym, g, ORIGIN3, s)
+        f = solve(sym, g, [ORIGIN3], s).polynomial
         assert taylor_jet(apply_operator(sym, f) - g, ORIGIN3, s).is_zero
 
 
 def test_singular_lewy_constant_rhs_unsolvable():
     with pytest.raises(UnsolvableError):
-        solve_to_order(singular_lewy(), MultiPoly.constant(3, 1), ORIGIN3, 0)
+        solve(singular_lewy(), MultiPoly.constant(3, 1), [ORIGIN3], 0)
 
 
 # -- multi-point solving ----------------------------------------------------
@@ -193,15 +192,14 @@ def test_two_point_solve():
     points = [ZERO1, (Fraction(1),)]
     f = solve_at_points(ddx(), MultiPoly.constant(1, 1), points, 0)
     df = apply_operator(ddx(), f)
-    assert evaluate(df, ZERO1) == 1
-    assert evaluate(df, (Fraction(1),)) == 1
+    assert df.evaluate(ZERO1) == 1
+    assert df.evaluate((Fraction(1),)) == 1
 
 
 def test_single_point_matches_pointwise_solve():
     g = MultiPoly.variable(1, 1)
-    assert solve_at_points(ddx(), g, [ZERO1], 1) == solve_to_order(
-        ddx(), g, ZERO1, 1
-    )
+    one = solve(ddx(), g, [ZERO1], 1).polynomial
+    assert solve_at_points(ddx(), g, [ZERO1], 1) == one
 
 
 def test_duplicate_points_rejected():
@@ -297,6 +295,14 @@ def test_degenerate_rank_zero():
 def test_nonvanishing_symbol_rank_one_at_level_zero():
     report = check_surjectivity(ddx(), ZERO1, 0)
     assert report.rank == 1 and report.full
+
+
+def test_negative_level_is_refused_with_one_message():
+    message = r"^prolongation level must be >= 0$"
+    with pytest.raises(ValueError, match=message):
+        prolong(ddx(), -1)
+    with pytest.raises(ValueError, match=message):
+        check_surjectivity(ddx(), ZERO1, -1)
 
 
 # -- membership -------------------------------------------------------------

@@ -159,13 +159,13 @@ def test_total_derivatives_commute():
 
 def test_prolong_level_zero():
     pro = prolong(ddx(), 0)
-    assert pro.component((0,)) == ddx()
+    assert pro.components[(0,)] == ddx()
     assert list(pro.components) == [(0,)]
 
 
 def test_prolong_level_one_constant_coefficient():
     pro = prolong(ddx(), 1)
-    assert pro.component((1,)) == LinearSymbol(
+    assert pro.components[(1,)] == LinearSymbol(
         1, 2, {(2,): MultiPoly.constant(1, 1)}
     )
 
@@ -183,7 +183,7 @@ def test_prolong_second_level_component():
             (3,): MultiPoly.monomial(1, (2,)),
         },
     )
-    assert pro.component((2,)) == expected
+    assert pro.components[(2,)] == expected
 
 
 def test_second_prolong_is_served_from_the_derivative_cache():

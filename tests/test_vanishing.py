@@ -67,13 +67,13 @@ def test_dimension_check():
 
 def test_vanishing_order_derivative_characterization():
     # independent oracle: derivatives of every coefficient at the point
-    from jetforge.algebra import derivative, evaluate
+    from jetforge.algebra import derivative
 
     sym = x_squared_ddx()
     coeff = sym.terms[(1,)]
-    assert evaluate(derivative(coeff, (0,)), ZERO1) == 0
-    assert evaluate(derivative(coeff, (1,)), ZERO1) == 0
-    assert evaluate(derivative(coeff, (2,)), ZERO1) == 2
+    assert derivative(coeff, (0,)).evaluate(ZERO1) == 0
+    assert derivative(coeff, (1,)).evaluate(ZERO1) == 0
+    assert derivative(coeff, (2,)).evaluate(ZERO1) == 2
 
 
 # -- desingularization ------------------------------------------------------
