@@ -161,9 +161,7 @@ class MultiPoly:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = MultiPoly.constant(self.num_vars, other)
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, (int, Fraction, Scalar, MultiPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -338,15 +336,15 @@ def jet_quotient(num: JetVector, den: JetVector) -> JetVector:
     """
     if num.spec != den.spec:
         raise DimensionMismatch("jet specs differ")
-    g = _centred(den)
-    g0 = g.pop((0,) * den.base_dim)
-    if not g0:
+    g = {b: gb for b, gb in _centred(den).items() if gb}
+    g0 = g.pop((0,) * den.base_dim, None)
+    if g0 is None:
         raise NotAUnit("polynomial vanishes at the expansion point")
     q: dict[MultiIndex, Scalar] = {}
     for a, acc in _centred(num).items():
         for b, gb in g.items():
             qr = q.get(tuple(x - y for x, y in zip(a, b)))  # None unless b <= a
-            if qr and gb:
+            if qr:
                 acc = acc - gb * qr
         q[a] = acc / g0
     return JetVector(num.base_dim, num.order, [v * factorial(a) for a, v in q.items()])
@@ -370,15 +368,16 @@ def _separating_form(points) -> list[int]:
             return weights
 
 
-def hermite_interpolate(points, jets, k: int) -> MultiPoly:
-    """Polynomial matching a prescribed order-k jet at each of several points.
+def hermite_interpolate(points, jets) -> MultiPoly:
+    """Polynomial matching a prescribed jet at each of several points.
 
-    Each point x_j gets the bump B_j = prod_{l != j} (l(x) - l(x_l))^(k+1)
-    for the separating linear form l: nonzero at x_j, vanishing to order
-    >= k+1 at every other point.  It is multiplied by the degree <= k
-    polynomial whose k-jet at x_j is jet_j / jet(B_j), so a constant factor
-    of B_j would cancel.  The result, of degree <= (k+1)(n-1) + k for n
-    points, matches every prescribed jet exactly.
+    The jets share one order k, which is read from them.  Each point x_j
+    gets the bump B_j = prod_{l != j} (l(x) - l(x_l))^(k+1) for the
+    separating linear form l: nonzero at x_j, vanishing to order >= k+1 at
+    every other point.  It is multiplied by the degree <= k polynomial
+    whose k-jet at x_j is jet_j / jet(B_j), so a constant factor of B_j
+    would cancel.  The result, of degree <= (k+1)(n-1) + k for n points,
+    matches every prescribed jet exactly.
     """
     points = distinct_points(points)
     m = len(points[0])
@@ -387,6 +386,7 @@ def hermite_interpolate(points, jets, k: int) -> MultiPoly:
     for p in points:
         if len(p) != m:
             raise DimensionMismatch("interpolation points have mixed dimensions")
+    k = jets[0].order
     for jet in jets:
         if jet.base_dim != m or jet.order != k:
             raise DimensionMismatch(

@@ -352,7 +352,7 @@ def hermite_suite(rng: random.Random, cases: int = 100) -> SuiteResult:
             )
             for _ in points
         ]
-        f = hermite_interpolate(points, jets, k)
+        f = hermite_interpolate(points, jets)
         result.check(
             all(taylor_jet(f, p, k) == jet for p, jet in zip(points, jets)),
             lambda: f"points={points}, k={k}",

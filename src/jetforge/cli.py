@@ -21,7 +21,7 @@ from pathlib import Path
 from .algebra import format_poly
 from .checks import run_all
 from .errors import JetforgeError, UnsolvableError
-from .jets import graded_key, jet_dimension
+from .jets import jet_dimension
 from .parser import parse_operator, parse_pdo, parse_point, parse_polynomial
 from .solver import check_surjectivity, pcp_check, residual_vanishes, solve
 from .symbols import LinearSymbol, format_operator, principal_part, prolong
@@ -53,11 +53,7 @@ def _check_level(level: int) -> None:
 
 def _load_operator(op_arg: str):
     path = Path(op_arg)
-    try:
-        is_file = path.is_file()
-    except OSError:  # e.g. DSL text longer than a file name may be
-        is_file = False
-    if path.suffix == ".pdo" or is_file:
+    if path.suffix == ".pdo":
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
@@ -169,9 +165,7 @@ def _cmd_prolong(args) -> tuple[dict, int]:
             "order": comp.order,
             "symbol": format_operator(comp),
         }
-        for beta, comp in sorted(
-            pro.components.items(), key=lambda kv: graded_key(kv[0])
-        )
+        for beta, comp in pro.components.items()
     ]
     report = {
         "kind": "prolong",

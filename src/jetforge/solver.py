@@ -117,7 +117,7 @@ def solve(sym: LinearSymbol, g: MultiPoly, points, s: int) -> Solution:
     if len(pts) == 1:
         poly = taylor_polynomial(lifts[0].jet, pts[0])
     else:
-        poly = hermite_interpolate(pts, [l.jet for l in lifts], sym.order + s)
+        poly = hermite_interpolate(pts, [l.jet for l in lifts])
     return Solution(poly, tuple(lifts))
 
 
@@ -212,14 +212,10 @@ def _nonlinear_witness(
     alpha = gsym.jet_variables()[chosen]
     label = "y[" + ",".join(str(a) for a in alpha) + "]"
 
-    if all(c.is_real for c in equation):
-        real_eq = [c.re for c in equation]
-        gcd_note = ""
-    else:
-        real_eq = roots.poly_gcd(
-            [c.re for c in equation], [c.im for c in equation]
-        )
-        gcd_note = " (common roots of the real and imaginary parts)"
+    # the real roots are those of both parts; a real equation comes back monic
+    im = [c.im for c in equation]
+    real_eq = roots.poly_gcd([c.re for c in equation], im)
+    gcd_note = " (common roots of the real and imaginary parts)" if any(im) else ""
 
     root = roots.first_rational_root(real_eq)
     if root is not None:

@@ -123,21 +123,12 @@ def apply_operator(sym: LinearSymbol, f: MultiPoly) -> MultiPoly:
 # sets peak memory; 1024 still holds a level-8 prolongation for m <= 4
 @lru_cache(maxsize=1024)
 def _total_derivative_cached(sym: LinearSymbol, i: int) -> LinearSymbol:
+    # a sum that cancels stays as a zero coefficient: LinearSymbol drops it
     out: dict[MultiIndex, MultiPoly] = {}
-
-    def _accumulate(alpha, poly):
-        if not poly:
-            return
-        prev = out.get(alpha)
-        total = poly if prev is None else prev + poly
-        if total:
-            out[alpha] = total
-        else:
-            out.pop(alpha, None)
-
     for alpha, coeff in sym.terms.items():
-        _accumulate(alpha, coeff.partial(i))
-        _accumulate(bump(alpha, i), coeff)
+        for key, poly in ((alpha, coeff.partial(i)), (bump(alpha, i), coeff)):
+            prev = out.get(key)
+            out[key] = poly if prev is None else prev + poly
     return LinearSymbol(sym.base_dim, sym.order + 1, out)
 
 
@@ -165,8 +156,10 @@ class ProlongedSymbol:
 def prolong(sym: LinearSymbol, s: int) -> ProlongedSymbol:
     """Compute all iterated total derivatives up to weight s.
 
-    Factors are applied with the earliest direction outermost; the total
-    derivatives commute, so the order only fixes the computation path.
+    The components come in graded-lex order of beta, the order of
+    ``enumerate_multiindices(m, s)``.  Factors are applied with the
+    earliest direction outermost; the total derivatives commute, so the
+    order only fixes the computation path.
     """
     if s < 0:
         raise ValueError("prolongation level must be >= 0")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import RationalPoint, _point, shift
-from .jets import _tree, weight
-from .symbols import LinearSymbol, _total_derivative_cached
+from .jets import weight
+from .symbols import LinearSymbol, prolong
 
 NOT_VANISHING = "not_vanishing"
 EXACTLY = "exactly"
@@ -64,25 +64,20 @@ def desingularization_order(
 ) -> Optional[int]:
     """Minimal prolongation level whose fiber matrix at x0 is nonzero.
 
-    Builds prolongation components weight by weight and stops at the first
-    level carrying a coefficient that survives evaluation at x0.  Returns
-    None when every level through ``cap`` gives the zero matrix.
+    Prolongs level by level and stops at the first level carrying a
+    coefficient that survives evaluation at x0; the lower levels were
+    tested already, so only the new components are.  Returns None when
+    every level through ``cap`` gives the zero matrix.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
     point = _point(x0, sym.base_dim)
-    if _nonzero_at(sym, point):
-        return 0
-    comps = {(0,) * sym.base_dim: sym}
-    for beta, parent, i in _tree(sym.base_dim, cap):
-        comps[beta] = _total_derivative_cached(comps[parent], i)
-        if _nonzero_at(comps[beta], point):
-            return weight(beta)
+    for level in range(cap + 1):
+        components = prolong(sym, level).components.items()
+        new = [comp for beta, comp in components if weight(beta) == level]
+        if any(coeff.evaluate(point) for comp in new for coeff in comp.terms.values()):
+            return level
     return None
-
-
-def _nonzero_at(sym: LinearSymbol, point) -> bool:
-    return any(coeff.evaluate(point) for coeff in sym.terms.values())
 
 
 def finsupp_scan(sym: LinearSymbol, grid) -> list[VanishingReport]:

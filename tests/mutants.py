@@ -1,0 +1,296 @@
+"""A standing mutation gate: small deliberate faults the tests must catch.
+
+Each record names a file, the exact text a mutant replaces, the text it
+puts in its place, the test node ids that must fail, and why the mutant
+matters.  Run it by hand from the repository root (a few minutes)::
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME [NAME]  # only these
+
+It copies ``src/`` and ``tests/`` into a temporary directory, applies one
+mutant at a time there and runs its tests with ``python -m pytest -x -q
+--hypothesis-seed=0``.  A mutant is caught when those tests fail.  The
+known misses change only what a result costs, not the result; they run
+too and are expected to survive.  The exit status is 1 when a mutant
+survives, a known miss is caught (move it to ``MUTANTS``), or a run
+errs.  ``tests/test_mutants.py`` checks in tier-1 that each old text
+occurs exactly once in its file, so a refactor that removes it must
+re-target the mutant.
+
+Stdlib only; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    reason: str
+
+
+MUTANTS = (
+    # glue with a separating linear form
+    Mutant(
+        "bump-power-doubled",
+        "src/jetforge/algebra.py",
+        "** (k + 1) for p in points]",
+        "** (2 * k + 2) for p in points]",
+        ("tests/test_algebra.py::test_interpolation_degree_is_bounded",),
+        "a bump of twice the power still glues, but past the degree bound",
+    ),
+    Mutant(
+        "separating-t-from-one",
+        "src/jetforge/algebra.py",
+        "    for t in count():\n",
+        "    for t in count(1):\n",
+        ("tests/test_algebra.py::test_separating_form_takes_the_least_t_and_glues",),
+        "t = 0 separates points that differ in x1 and must be taken first",
+    ),
+    Mutant(
+        "derivative-cache-128",
+        "src/jetforge/symbols.py",
+        "@lru_cache(maxsize=1024)",
+        "@lru_cache(maxsize=128)",
+        ("tests/test_symbols.py::test_second_prolong_is_served_from_the_derivative_cache",),
+        "a level-8 prolongation must stay in the derivative cache",
+    ),
+    Mutant(
+        "eager-importlib-resources",
+        "src/jetforge/__init__.py",
+        '__version__ = "0.1.0"\n',
+        'from importlib import resources\n\n__version__ = "0.1.0"\n',
+        ("tests/test_cli.py::test_cli_import_leaves_importlib_resources_unloaded",),
+        "importing importlib.resources costs every CLI call a fifth of import",
+    ),
+    # rational roots by integer Sturm isolation
+    Mutant(
+        "negative-root-on-ties",
+        "src/jetforge/roots.py",
+        "bound if z is None else z - 1)",
+        "bound if z is None else z)",
+        ("tests/test_roots.py",),
+        "of two roots of equal size the positive one comes first",
+    ),
+    Mutant(
+        "no-monic-scaling",
+        "src/jetforge/roots.py",
+        "    q = [c * a ** (n - 1 - i) for i, c in enumerate(p[:-1])] + [1]\n",
+        "    q, a = p, 1\n",
+        ("tests/test_roots.py",),
+        "without z = a*y the integer roots of q are not the rational roots",
+    ),
+    Mutant(
+        "unreferenced-private-helper",
+        "src/jetforge/roots.py",
+        "def _horner(",
+        "def _unused():\n    pass\n\n\ndef _horner(",
+        ("tests/test_hostile.py::test_no_unreferenced_private_functions_or_classes",),
+        "a private function nothing calls is dead code",
+    ),
+    Mutant(
+        "cauchy-root-bound",
+        "src/jetforge/roots.py",
+        "    bound = 2 << top\n",
+        "    bound = 1 + max(abs(c) for c in q[:-1])\n",
+        ("tests/test_hostile.py::test_pcp_with_a_right_hand_side_of_many_digits",),
+        "bisecting Cauchy's bound takes steps in the largest coefficient's size",
+    ),
+    # one remainder loop
+    Mutant(
+        "gcd-not-monic",
+        "src/jetforge/roots.py",
+        "    return [Fraction(c, a[-1]) for c in a]\n",
+        "    return [Fraction(c) for c in a]\n",
+        ("tests/test_roots.py::test_poly_gcd_matches_fraction_euclid_oracle",),
+        "poly_gcd promises the monic gcd",
+    ),
+    Mutant(
+        "gcd-skips-last-remainder",
+        "src/jetforge/roots.py",
+        "    while b:\n",
+        "    while len(b) > 1:\n",
+        ("tests/test_roots.py",),
+        "a constant remainder means the gcd is 1",
+    ),
+    Mutant(
+        "prem-lead-sign-kept",
+        "src/jetforge/roots.py",
+        "    b = b if b[-1] > 0 else [-c for c in b]\n",
+        "",
+        ("tests/test_roots.py",),
+        "a negative lead flips the signs of Sturm chain members",
+    ),
+    # second paths removed in favour of the first
+    Mutant(
+        "symbol-keeps-zero-terms",
+        "src/jetforge/symbols.py",
+        "            if coeff:\n                clean[alpha] = coeff\n",
+        "            clean[alpha] = coeff\n",
+        ("tests/test_symbols.py::test_total_derivative_stores_no_cancelled_term",),
+        "the total derivative relies on LinearSymbol dropping cancelled terms",
+    ),
+    Mutant(
+        "desingularization-off-by-one",
+        "src/jetforge/vanishing.py",
+        "            return level\n",
+        "            return level + 1\n",
+        ("tests/test_vanishing.py",),
+        "the minimal level is the first nonzero one",
+    ),
+    Mutant(
+        "desingularization-prolongs-to-cap",
+        "src/jetforge/vanishing.py",
+        "prolong(sym, level).components",
+        "prolong(sym, cap).components",
+        ("tests/test_vanishing.py::test_nonzero_symbol_stops_before_any_total_derivative",),
+        "a symbol nonzero at the point needs no total derivative",
+    ),
+    Mutant(
+        "gcd-note-on-real-equations",
+        "src/jetforge/solver.py",
+        'if any(im) else ""',
+        'if im else ""',
+        ("tests/test_hostile.py::test_pcp_with_a_right_hand_side_of_many_digits",),
+        "a real equation goes through the gcd but keeps its plain note",
+    ),
+    Mutant(
+        "hermite-order-from-dimension",
+        "src/jetforge/algebra.py",
+        "    k = jets[0].order\n",
+        "    k = jets[0].base_dim\n",
+        ("tests/test_algebra.py::test_interpolation_random_exactness",),
+        "hermite_interpolate reads the order k from its jets",
+    ),
+    Mutant(
+        "jet-quotient-keeps-zeros",
+        "src/jetforge/algebra.py",
+        "    g = {b: gb for b, gb in _centred(den).items() if gb}\n",
+        "    g = _centred(den)\n",
+        ("tests/test_algebra.py::test_jet_quotient_requires_unit_denominator",),
+        "a zero constant term must be refused as NotAUnit, not divided by",
+    ),
+    Mutant(
+        "sub-refuses-numbers",
+        "src/jetforge/algebra.py",
+        "(int, Fraction, Scalar, MultiPoly)):",
+        "(MultiPoly,)):",
+        ("tests/test_algebra.py",),
+        "MultiPoly - number must go through __add__'s conversion",
+    ),
+    Mutant(
+        "prolong-lex-order",
+        "src/jetforge/symbols.py",
+        "    return ProlongedSymbol(sym, s, comps)\n",
+        "    return ProlongedSymbol(sym, s, dict(sorted(comps.items())))\n",
+        ("tests/test_symbols.py::test_prolong_components_come_in_graded_lex_order",),
+        "the prolong report lists components in prolong's own order",
+    ),
+    Mutant(
+        "op-file-by-name",
+        "src/jetforge/cli.py",
+        '    if path.suffix == ".pdo":\n',
+        '    if path.suffix == ".pdo" or path.is_file():\n',
+        ("tests/test_cli.py::test_only_a_pdo_suffix_makes_op_a_file",),
+        "only a .pdo suffix makes --op a path",
+    ),
+    # the generated-input gate
+    Mutant(
+        "vanish-grid-text-raises",
+        "src/jetforge/cli.py",
+        'reports = report["reports"] if kind',
+        'reports = report["report"] if kind',
+        ("tests/test_generated_requests.py",),
+        "rendering a text report must not raise; no hand-picked test "
+        "renders a vanish grid as text",
+    ),
+)
+
+KNOWN_MISSES = (
+    Mutant(
+        "no-reduced-row-content",
+        "src/jetforge/linalg.py",
+        "            row = _primitive(row)\n",
+        "",
+        ("tests/test_linalg.py",),
+        "only entry growth changes (92 bits instead of 57 on Lewy pivot "
+        "rows); a bound on linalg.max_entry_bits could catch it",
+    ),
+    Mutant(
+        "no-lead-part-gcd",
+        "src/jetforge/linalg.py",
+        "                    h = math.gcd(lr, li)\n",
+        "                    h = 1\n",
+        ("tests/test_linalg.py",),
+        "pivot rows stay exact, only their entries grow",
+    ),
+    Mutant(
+        "gcd-skips-primitive-step",
+        "src/jetforge/roots.py",
+        "        a, b = b, r and _integer_poly(r)\n",
+        "        a, b = b, r\n",
+        ("tests/test_roots.py",),
+        "the remainders' coefficients grow, the gcd is the same",
+    ),
+)
+
+
+def _run(mutant: Mutant, workdir: Path) -> str:
+    target = workdir / mutant.path
+    original = target.read_text(encoding="utf-8")
+    target.write_text(original.replace(mutant.old, mutant.new, 1), encoding="utf-8")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            "--hypothesis-seed=0", *mutant.tests]
+    env = {**os.environ, "PYTHONPATH": str(workdir / "src")}
+    try:
+        result = subprocess.run(argv, cwd=workdir, env=env, capture_output=True,
+                                text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    finally:
+        target.write_text(original, encoding="utf-8")
+    # 1: tests failed; 2: the mutant broke collection
+    if result.returncode in (1, 2):
+        return "caught"
+    if result.returncode == 0:
+        return "missed"
+    return f"error (pytest exit {result.returncode}): {result.stdout[-300:]}"
+
+
+def main(names: list[str]) -> int:
+    chosen = [(m, True) for m in MUTANTS] + [(m, False) for m in KNOWN_MISSES]
+    if names:
+        chosen = [(m, must) for m, must in chosen if m.name in names]
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, workdir / part, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", workdir)
+        for mutant, must_catch in chosen:
+            outcome = _run(mutant, workdir)
+            expected = "caught" if must_catch else "missed"
+            note = "" if must_catch else f" (known miss: {mutant.reason})"
+            print(f"{outcome:8} {mutant.name}{note}", flush=True)
+            bad += outcome != expected
+    print(f"{len(chosen) - bad} of {len(chosen)} as expected")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -258,6 +258,17 @@ def test_long_invalid_inline_operator_exits_2(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_only_a_pdo_suffix_makes_op_a_file(capsys, tmp_path, monkeypatch):
+    # a file named like the DSL text is not read in its place
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x1*d[1]").write_text("not an operator document\n")
+    (tmp_path / "lewy.pdo").write_text(LEWY_PDO)
+    assert run_command(["symbol", "--op", "x1*d[1]"]) == 0
+    assert "total symbol:     x1*d[1]\n" in capsys.readouterr().out
+    assert run_command(["symbol", "--op", "lewy.pdo"]) == 0
+    assert capsys.readouterr().out.startswith("dimension: 3   order: 1\n")
+
+
 # -- pinned outputs: the solve reports must stay byte-identical ---------------
 
 LEWY_SOLVED_JET = [

@@ -7,6 +7,7 @@ from jetforge import linalg
 from jetforge.algebra import MultiPoly, taylor_jet
 from jetforge.errors import BadDirection, DimensionMismatch
 from jetforge.jets import JetVector, enumerate_multiindices
+from jetforge.parser import parse_operator
 from jetforge.scalar import Scalar
 from jetforge.symbols import (
     GeneralSymbol,
@@ -138,6 +139,14 @@ def test_total_derivative_order_zero_term():
     assert out == LinearSymbol(1, 1, {(0,): f.partial(1), (1,): f})
 
 
+def test_total_derivative_stores_no_cancelled_term():
+    # d#(y_(0) - x y_(1)) = y_(1) - y_(1) - x y_(2): the y_(1) parts cancel
+    sym = parse_operator("d[0] - x1*d[1]")
+    out = total_derivative(sym, 1)
+    assert out == parse_operator("-x1*d[2]")
+    assert list(out.terms) == [(2,)]
+
+
 def test_total_derivative_direction_validated():
     with pytest.raises(BadDirection):
         total_derivative(ddx(), 2)
@@ -161,6 +170,12 @@ def test_prolong_level_zero():
     pro = prolong(ddx(), 0)
     assert pro.components[(0,)] == ddx()
     assert list(pro.components) == [(0,)]
+
+
+def test_prolong_components_come_in_graded_lex_order():
+    sym = parse_operator("x1*d[1,0,0] + x3^2*d[0,1,0] + d[0,0,0]")
+    for s in range(4):
+        assert list(prolong(sym, s).components) == enumerate_multiindices(3, s)
 
 
 def test_prolong_level_one_constant_coefficient():

@@ -6,7 +6,12 @@ import pytest
 from jetforge.algebra import MultiPoly, shift
 from jetforge.errors import DimensionMismatch
 from jetforge.jets import enumerate_multiindices
-from jetforge.symbols import LinearSymbol, fiber_matrix, prolong
+from jetforge.symbols import (
+    LinearSymbol,
+    _total_derivative_cached,
+    fiber_matrix,
+    prolong,
+)
 from jetforge.vanishing import (
     EXACTLY,
     IDENTICALLY_ZERO,
@@ -84,6 +89,16 @@ def test_desingularization_of_quadratic_zero():
 
 def test_already_nonzero_needs_no_prolongation():
     assert desingularization_order(ddx(), ZERO1, cap=5) == 0
+
+
+def test_nonzero_symbol_stops_before_any_total_derivative():
+    # an operator no other test builds, so any derivative taken would miss
+    sym = LinearSymbol(
+        2, 1, {(1, 0): MultiPoly(2, {(0, 0): Fraction(11, 13), (0, 3): 1})}
+    )
+    before = _total_derivative_cached.cache_info().misses
+    assert desingularization_order(sym, (Fraction(0), Fraction(1)), cap=8) == 0
+    assert _total_derivative_cached.cache_info().misses == before
 
 
 def test_first_order_zero_in_two_variables():
