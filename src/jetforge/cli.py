@@ -56,7 +56,7 @@ def _load_operator(op_arg: str):
     if path.suffix == ".pdo":
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: NUL in the path, or not UTF-8
             raise JetforgeError(f"cannot read operator file: {exc}") from None
         return parse_pdo(text)
     return parse_operator(op_arg)
@@ -242,7 +242,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
 def _read_points_file(path_text: str):
     try:
         raw = Path(path_text).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: NUL in the path, or not UTF-8
         raise JetforgeError(f"cannot read points file: {exc}") from None
     points = []
     for number, line in enumerate(raw.splitlines(), start=1):

@@ -1,8 +1,10 @@
 """Exact Gaussian-rational arithmetic, the coefficient field of the engine.
 
-A :class:`Scalar` is a complex number ``a + b*i`` whose real and imaginary
-parts are arbitrary-precision :class:`fractions.Fraction` values, so field
-operations are exact and equality means equality.
+A :class:`Scalar` stores one Gaussian integer over one denominator: three
+ints ``(re, im, den)`` for the value ``(re + im*i) / den``, with
+``den > 0`` and ``gcd(re, im, den) == 1``.  The form is canonical, so field
+operations are exact and equality compares three ints.  The public
+``.re`` and ``.im`` are read-only :class:`fractions.Fraction` views.
 """
 
 from __future__ import annotations
@@ -33,13 +35,19 @@ def power(base, n: int, one):
 
 
 class Scalar:
-    """A Gaussian rational.  Treat instances as immutable."""
+    """A Gaussian rational in the form above.  Treat instances as immutable."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, re=0, im=0):
-        self.re = as_fraction(re)
-        self.im = as_fraction(im)
+        if type(re) is int and type(im) is int:
+            self._re, self._im, self._den = re, im, 1
+            return
+        re, im = as_fraction(re), as_fraction(im)
+        den = math.lcm(re.denominator, im.denominator)
+        self._re = re.numerator * (den // re.denominator)
+        self._im = im.numerator * (den // im.denominator)
+        self._den = den
 
     @classmethod
     def coerce(cls, value) -> "Scalar":
@@ -48,72 +56,89 @@ class Scalar:
         return cls(as_fraction(value))
 
     @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, self._den)
+
+    @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._im
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _scalar(self._re, -self._im, self._den)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._re or self._im)
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
+            return (
+                self._re == other._re
+                and self._im == other._im
+                and self._den == other._den
+            )
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            num, den = other.numerator, other.denominator
+            return not self._im and self._re * den == num * self._den
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._im:
+            return hash((self._re, self._im, self._den))
+        return hash(self._re) if self._den == 1 else hash(Fraction(self._re, self._den))
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _scalar(-self._re, -self._im, self._den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar(self.re + other, self.im)
         if isinstance(other, Scalar):
-            return Scalar(self.re + other.re, self.im + other.im)
+            a, b = self._den, other._den
+            if a == b:
+                return _scalar(self._re + other._re, self._im + other._im, a)
+            re, im = self._re * b + other._re * a, self._im * b + other._im * a
+            return _scalar(re, im, a * b)
+        if isinstance(other, (int, Fraction)):
+            n, d = other.numerator, other.denominator
+            return _scalar(self._re * d + n * self._den, self._im * d, self._den * d)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar(self.re - other, self.im)
-        if isinstance(other, Scalar):
-            return Scalar(self.re - other.re, self.im - other.im)
+        if isinstance(other, (Scalar, int, Fraction)):
+            return self.__add__(-other)
         return NotImplemented
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar(self.re * other, self.im * other)
         if isinstance(other, Scalar):
-            return Scalar(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            a, b, c, d = self._re, self._im, other._re, other._im
+            return _scalar(a * c - b * d, a * d + b * c, self._den * other._den)
+        if isinstance(other, (int, Fraction)):
+            n, d = other.numerator, other.denominator
+            return _scalar(self._re * n, self._im * n, self._den * d)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar(self.re / other, self.im / other)
         if isinstance(other, Scalar):
-            nsq = other.re * other.re + other.im * other.im
+            a, b, c, d = self._re, self._im, other._re, other._im
+            nsq = c * c + d * d
             if nsq == 0:
                 raise ZeroDivisionError("division by zero Scalar")
-            return Scalar(
-                (self.re * other.re + self.im * other.im) / nsq,
-                (self.im * other.re - self.re * other.im) / nsq,
-            )
+            f = other._den
+            return _scalar((a * c + b * d) * f, (b * c - a * d) * f, self._den * nsq)
+        if isinstance(other, (int, Fraction)):
+            n, d = other.numerator, other.denominator
+            if n == 0:
+                raise ZeroDivisionError("division by zero")
+            return _scalar(self._re * d, self._im * d, self._den * n)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -128,18 +153,32 @@ class Scalar:
         return f"Scalar({self.re}, {self.im})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        sign = "-" if self.im < 0 else "+"
-        mag = abs(self.im)
+            return f"{im}*i"
+        sign = "-" if im < 0 else "+"
+        mag = abs(im)
         imag = "i" if mag == 1 else f"{mag}*i"
-        return f"({self.re} {sign} {imag})"
+        return f"({re} {sign} {imag})"
+
+
+def _scalar(re: int, im: int, den: int) -> Scalar:
+    """The Scalar ``(re + im*i) / den`` (den != 0), brought to canonical form."""
+    if den != 1:
+        g = math.gcd(re, im, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+    s = object.__new__(Scalar)
+    s._re, s._im, s._den = re, im, den
+    return s
 
 
 def _to_gaussian(values) -> tuple[int, list[tuple[int, int]]]:
@@ -151,19 +190,13 @@ def _to_gaussian(values) -> tuple[int, list[tuple[int, int]]]:
     and once with :func:`_from_gaussian` on the way out.
     """
     values = list(values)
-    den = math.lcm(*[f.denominator for v in values for f in (v.re, v.im)])
-    return den, [
-        (
-            v.re.numerator * (den // v.re.denominator),
-            v.im.numerator * (den // v.im.denominator),
-        )
-        for v in values
-    ]
+    den = math.lcm(*[v._den for v in values])
+    return den, [(v._re * (k := den // v._den), v._im * k) for v in values]
 
 
 def _from_gaussian(den: int, pairs) -> list[Scalar]:
     """The Scalars ``(re + im*i) / den`` of Gaussian integers ``(re, im)``."""
-    return [Scalar(Fraction(re, den), Fraction(im, den)) for re, im in pairs]
+    return [_scalar(re, im, den) for re, im in pairs]
 
 
 ZERO = Scalar(0)

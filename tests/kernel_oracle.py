@@ -6,16 +6,21 @@ elimination, ``multiply`` is ``MultiPoly.__mul__``'s product loop and
 ``_recentred`` the truncated recentring, each in ``Scalar`` arithmetic.
 The integer kernels must return equal values: the same rank, pivots and
 solution, and the same terms in the same order.
+
+``FractionScalar`` is the ``Scalar`` that held its real and imaginary
+parts as two ``Fraction``s; the ``(re, im, den)`` ``Scalar`` must give
+the same values, text and errors.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 from jetforge.algebra import MultiPoly, RationalPoint, _point
 from jetforge.jets import MultiIndex
-from jetforge.scalar import ONE, ZERO, Scalar
+from jetforge.scalar import ONE, ZERO, Scalar, as_fraction, power
 
 
 def _eliminate(matrix, rhs=()):
@@ -119,3 +124,113 @@ def _recentred(p: MultiPoly, x0: RationalPoint, k: int) -> dict[MultiIndex, Scal
             else:
                 acc.pop(key, None)
     return acc
+
+
+class FractionScalar:
+    """A Gaussian rational.  Treat instances as immutable."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = as_fraction(re)
+        self.im = as_fraction(im)
+
+    @classmethod
+    def coerce(cls, value) -> "FractionScalar":
+        if isinstance(value, FractionScalar):
+            return value
+        return cls(as_fraction(value))
+
+    @property
+    def is_real(self) -> bool:
+        return self.im == 0
+
+    def conjugate(self) -> "FractionScalar":
+        return FractionScalar(self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, FractionScalar):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __neg__(self):
+        return FractionScalar(-self.re, -self.im)
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionScalar(self.re + other, self.im)
+        if isinstance(other, FractionScalar):
+            return FractionScalar(self.re + other.re, self.im + other.im)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionScalar(self.re - other, self.im)
+        if isinstance(other, FractionScalar):
+            return FractionScalar(self.re - other.re, self.im - other.im)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionScalar(self.re * other, self.im * other)
+        if isinstance(other, FractionScalar):
+            return FractionScalar(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionScalar(self.re / other, self.im / other)
+        if isinstance(other, FractionScalar):
+            nsq = other.re * other.re + other.im * other.im
+            if nsq == 0:
+                raise ZeroDivisionError("division by zero Scalar")
+            return FractionScalar(
+                (self.re * other.re + self.im * other.im) / nsq,
+                (self.im * other.re - self.re * other.im) / nsq,
+            )
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        return FractionScalar.coerce(other) / self
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("Scalar powers take nonnegative integer exponents")
+        return power(self, n, FractionScalar(1))
+
+    def __repr__(self):
+        return f"Scalar({self.re}, {self.im})"
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            if self.im == 1:
+                return "i"
+            if self.im == -1:
+                return "-i"
+            return f"{self.im}*i"
+        sign = "-" if self.im < 0 else "+"
+        mag = abs(self.im)
+        imag = "i" if mag == 1 else f"{mag}*i"
+        return f"({self.re} {sign} {imag})"

@@ -208,6 +208,40 @@ MUTANTS = (
         ("tests/test_cli.py::test_only_a_pdo_suffix_makes_op_a_file",),
         "only a .pdo suffix makes --op a path",
     ),
+    # one Gaussian integer over one denominator
+    Mutant(
+        "scalar-skips-gcd",
+        "src/jetforge/scalar.py",
+        "        g = math.gcd(re, im, den)\n",
+        "        g = 1\n",
+        ("tests/test_scalar.py::test_every_operation_leaves_the_canonical_form",),
+        "without the gcd equal values store different triples and compare unequal",
+    ),
+    Mutant(
+        "scalar-same-den-add-wrong-den",
+        "src/jetforge/scalar.py",
+        "self._im + other._im, a)",
+        "self._im + other._im, a * b)",
+        ("tests/test_scalar.py::test_scalar_matches_the_fraction_oracle",),
+        "the sum of two values over one denominator keeps that denominator",
+    ),
+    Mutant(
+        "scalar-div-drops-divisor-den",
+        "src/jetforge/scalar.py",
+        "            f = other._den\n",
+        "            f = 1\n",
+        ("tests/test_scalar.py::test_scalar_matches_the_fraction_oracle",),
+        "dividing by (c + d*i)/f multiplies by f",
+    ),
+    Mutant(
+        "scalar-real-hash-as-tuple",
+        "src/jetforge/scalar.py",
+        "hash(Fraction(self._re, self._den))",
+        "hash((self._re, self._den))",
+        ("tests/test_scalar.py::test_real_scalar_equals_and_hashes_as_its_rational",
+         "tests/test_scalar.py::test_dict_keyed_by_a_fraction_finds_the_equal_scalar"),
+        "a real Scalar must hash as the rational it equals",
+    ),
     # the generated-input gate
     Mutant(
         "vanish-grid-text-raises",

@@ -196,3 +196,27 @@ def test_pcp_with_a_right_hand_side_of_many_digits(capsys, op, rhs, code, out):
     argv = ["pcp", "--op", op, "--point", "0", "--rhs", rhs]
     assert _timed(run_command, argv) == code
     assert capsys.readouterr() == (out, "")
+
+
+# A path that cannot name a file (a NUL byte; argv from the OS cannot hold
+# one, but library callers of run_command can pass it) and a file that is
+# not UTF-8 are refused like a missing file.
+@pytest.mark.parametrize("argv, prefix", [
+    (["symbol", "--op", "a\0b.pdo"], "cannot read operator file"),
+    (["solve-multi", "--op", "d[1]", "--points-file", "a\0b", "--order", "1",
+      "--rhs", "x1"], "cannot read points file"),
+])
+def test_nul_byte_in_a_file_path_exits_2(capsys, argv, prefix):
+    assert run_command(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {prefix}: ")
+
+
+def test_operator_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "op.pdo"
+    path.write_bytes(b"d[1] \xff\n")
+    assert run_command(["symbol", "--op", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot read operator file: 'utf-8' codec")

@@ -1,15 +1,19 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from jetforge.scalar import Scalar, _from_gaussian, _to_gaussian
+from kernel_oracle import FractionScalar
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
 )
 scalars = st.builds(Scalar, rationals, rationals)
+# ints and Fractions, the plain numbers a Scalar meets on either side
+numbers = st.one_of(st.integers(-6, 6), rationals)
 
 
 def test_construction_and_equality():
@@ -96,3 +100,88 @@ def test_gaussian_conversion_round_trips(values):
     back = _from_gaussian(den, pairs)
     assert back == values
     assert [str(v) for v in back] == [str(v) for v in values]
+
+
+# -- the stored form: one Gaussian integer over one denominator ------------
+
+def _triple(s):
+    return s._re, s._im, s._den
+
+
+def _is_canonical(s):
+    re, im, den = _triple(s)
+    ints = all(type(x) is int for x in (re, im, den))
+    return ints and den > 0 and math.gcd(re, im, den) == 1
+
+
+@given(scalars, scalars, numbers)
+def test_every_operation_leaves_the_canonical_form(a, b, q):
+    results = [
+        Scalar(a.re, a.im), a + b, a - b, a * b, a - a, -a, a.conjugate(), a ** 3,
+        a + q, q + a, a - q, q - a, a * q, q * a,
+    ]
+    results += [a / b] if b else []
+    results += [a / q] if q else []
+    results += [q / a] if a else []
+    assert all(_is_canonical(r) for r in results)
+    # equal values store equal triples
+    assert _triple(a * b) == _triple(b * a)
+    assert _triple((a + b) - b) == _triple(a)
+    assert all(_triple(Scalar(r.re, r.im)) == _triple(r) for r in results)
+
+
+def test_stored_triples_of_examples():
+    assert _triple(Scalar(Fraction(1, 2), Fraction(1, 3))) == (3, 2, 6)
+    assert _triple(Scalar(Fraction(1, 2)) + Scalar(Fraction(1, 2))) == (1, 0, 1)
+    assert _triple(Scalar(0, Fraction(-2, 4))) == (0, -1, 2)
+    assert _triple(Scalar(1) / Scalar(0, -2)) == (0, 1, 2)
+    assert _triple(Scalar(Fraction(3, 4)) / Fraction(-3, 2)) == (-1, 0, 2)
+
+
+@given(numbers)
+def test_real_scalar_equals_and_hashes_as_its_rational(q):
+    for s in (Scalar(q), Scalar(q) * 3 / 3, Scalar(q, 1) - Scalar(0, 1)):
+        assert s == q and q == s
+        assert hash(s) == hash(q)
+        assert s != q + 1 and s != Scalar(q, 1)
+
+
+def test_dict_keyed_by_a_fraction_finds_the_equal_scalar():
+    table = {Fraction(1, 2): "half", 3: "three"}
+    assert table[Scalar(1, 0) / 2] == "half"
+    assert table[Scalar(Fraction(3, 2)) * 2] == "three"
+
+
+# -- differential oracle: the former two-Fraction Scalar -------------------
+
+# zero parts make purely imaginary, real and zero values common
+parts = st.one_of(st.just(0), rationals)
+
+
+def _outcome(fn, *args):
+    try:
+        v = fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    if isinstance(v, (Scalar, FractionScalar)):
+        return v.re, v.im, str(v), repr(v), bool(v), v.is_real
+    return v
+
+
+@given(parts, parts, parts, parts, numbers, st.integers(0, 4))
+@example(0, Fraction(-2, 3), 0, 0, 0, 3)  # i-multiple; zero Scalar and int divisors
+@example(0, 0, Fraction(1, 2), 1, Fraction(-5, 4), 2)  # a Fraction over zero
+def test_scalar_matches_the_fraction_oracle(xr, xi, yr, yi, q, n):
+    x, y = Scalar(xr, xi), Scalar(yr, yi)
+    old_x, old_y = FractionScalar(xr, xi), FractionScalar(yr, yi)
+    assert _outcome(lambda v: v, x) == _outcome(lambda v: v, old_x)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq):
+        assert _outcome(op, x, y) == _outcome(op, old_x, old_y)
+        assert _outcome(op, x, q) == _outcome(op, old_x, q)
+        assert _outcome(op, q, x) == _outcome(op, q, old_x)
+    unary = (
+        operator.neg, lambda v: v.conjugate(), lambda v: v ** n,
+        lambda v: v - v, lambda v: v + (-v),  # sums that cancel to zero
+    )
+    for fn in unary:
+        assert _outcome(fn, x) == _outcome(fn, old_x)
