@@ -90,7 +90,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, num_vars: int, value) -> "MultiPoly":
-        return cls(num_vars, {(0,) * num_vars: Scalar.coerce(value)})
+        return cls(num_vars, {(0,) * num_vars: value})
 
     @classmethod
     def variable(cls, num_vars: int, i: int) -> "MultiPoly":
@@ -102,7 +102,7 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, num_vars: int, alpha: MultiIndex, coeff=1) -> "MultiPoly":
-        return cls(num_vars, {tuple(alpha): Scalar.coerce(coeff)})
+        return cls(num_vars, {tuple(alpha): coeff})
 
     @property
     def degree(self) -> int:
@@ -211,14 +211,13 @@ class MultiPoly:
         """Exact partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.num_vars:
             raise DimensionMismatch(f"variable index {i} outside 1..{self.num_vars}")
+        # distinct terms have distinct derivatives, and c * alpha_j != 0
         j = i - 1
-        out = {}
-        for alpha, c in self.terms.items():
-            e = alpha[j]
-            if e:
-                key = alpha[:j] + (e - 1,) + alpha[j + 1 :]
-                out[key] = out.get(key, Scalar()) + c * e
-        return MultiPoly(self.num_vars, out)
+        return MultiPoly._trusted(self.num_vars, {
+            alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]: c * alpha[j]
+            for alpha, c in self.terms.items()
+            if alpha[j]
+        })
 
     def evaluate(self, x0) -> Scalar:
         """Exact value at a point whose coordinates are rationals or Scalars;

@@ -58,13 +58,13 @@ class SuiteResult:
         return line
 
 
-def rand_fraction(rng: random.Random, span: int = 3, den: int = 2) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+def rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
 
 
-def rand_scalar(rng: random.Random, complex_ok: bool = True) -> Scalar:
+def rand_scalar(rng: random.Random) -> Scalar:
     re = rand_fraction(rng)
-    im = rand_fraction(rng) if complex_ok and rng.random() < 0.4 else 0
+    im = rand_fraction(rng) if rng.random() < 0.4 else 0
     if re == 0 and im == 0:
         re = Fraction(rng.choice([1, -1, 2]))
     return Scalar(re, im)
@@ -74,19 +74,15 @@ def rand_point(rng: random.Random, m: int):
     return tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m))
 
 
-def rand_poly(
-    rng: random.Random, m: int, deg: int, max_terms: int = 3, complex_ok: bool = True
-) -> MultiPoly:
+def rand_poly(rng: random.Random, m: int, deg: int, max_terms: int = 3) -> MultiPoly:
     pool = _indices(m, deg)
     chosen = rng.sample(pool, min(rng.randint(1, max_terms), len(pool)))
-    return MultiPoly(m, {a: rand_scalar(rng, complex_ok) for a in chosen})
+    return MultiPoly(m, {a: rand_scalar(rng) for a in chosen})
 
 
-def rand_symbol(
-    rng: random.Random, m: int, r: int, coeff_deg: int, max_terms: int = 2
-) -> LinearSymbol:
+def rand_symbol(rng: random.Random, m: int, r: int, coeff_deg: int) -> LinearSymbol:
     pool = _indices(m, r)
-    chosen = rng.sample(pool, min(rng.randint(1, max_terms), len(pool)))
+    chosen = rng.sample(pool, min(rng.randint(1, 2), len(pool)))
     return LinearSymbol(
         m, r, {a: rand_poly(rng, m, rng.randint(0, coeff_deg)) for a in chosen}
     )

@@ -136,7 +136,6 @@ def _text_lines(report: dict) -> list[str]:
         lines = [s["summary"] for s in report["suites"]]
         lines.append("all passed" if report["all_passed"] else "FAILURES above")
         return lines
-    return [json.dumps(report)]
 
 
 def _cmd_symbol(args) -> tuple[dict, int]:

@@ -117,13 +117,13 @@ class JetVector:
     __slots__ = ("spec", "entries")
 
     def __init__(self, base_dim: int, order: int, entries):
-        _check_mk(base_dim, order)
         spec = JetSpec(base_dim, order)
+        dim = spec.fiber_dimension  # checks m and k before any entry
         values = tuple(Scalar.coerce(v) for v in entries)
-        if len(values) != spec.fiber_dimension:
+        if len(values) != dim:
             raise DimensionMismatch(
                 f"jet of order {order} over R^{base_dim} needs "
-                f"{spec.fiber_dimension} entries, got {len(values)}"
+                f"{dim} entries, got {len(values)}"
             )
         self.spec = spec
         self.entries = values
@@ -134,7 +134,7 @@ class JetVector:
 
     @classmethod
     def from_mapping(cls, base_dim: int, order: int, mapping) -> "JetVector":
-        entries = [Scalar.coerce(mapping.get(a, 0)) for a in _indices(base_dim, order)]
+        entries = [mapping.get(a, 0) for a in _indices(base_dim, order)]
         return cls(base_dim, order, entries)
 
     @property
@@ -179,12 +179,7 @@ class JetVector:
     def __sub__(self, other):
         if not isinstance(other, JetVector):
             return NotImplemented
-        if self.spec != other.spec:
-            raise DimensionMismatch("jet specs differ")
-        return JetVector(
-            self.base_dim, self.order,
-            [a - b for a, b in zip(self.entries, other.entries)],
-        )
+        return self + -other
 
     def __mul__(self, value):
         c = Scalar.coerce(value)

@@ -37,6 +37,7 @@ _PUNCT = set("+-*/^()[],")
 # deepest parenthesis nesting parsed; each level costs the parser four frames
 _MAX_NESTING = 100
 _COORDINATE = re.compile(r"([+-]?\d+)(?:/(\d+))?")  # \d is str.isdecimal
+_PDO_HEADER = re.compile(r"\s*dim\s+(\d+)\s+order\s+(\d+)\s*")  # \s is str.isspace
 
 
 class _Token(NamedTuple):
@@ -422,17 +423,11 @@ def parse_pdo(text: str):
     at = next((idx for idx, line in enumerate(lines) if line.strip()), None)
     if at is None:
         raise ParseError("empty operator file", 1, 1)
-    header = lines[at].split()
-    if (
-        len(header) != 4
-        or header[0] != "dim"
-        or header[2] != "order"
-        or not header[1].isdecimal()
-        or not header[3].isdecimal()
-    ):
+    header = _PDO_HEADER.fullmatch(lines[at])
+    if not header:
         raise ParseError("first line must read 'dim m order r'", at + 1, 1)
     m = _int(header[1], at + 1, 1)
-    r = _int(header[3], at + 1, 1)
+    r = _int(header[2], at + 1, 1)
     if m < 1:
         raise ParseError("dimension must be >= 1", at + 1, 1)
     lines[at] = ""

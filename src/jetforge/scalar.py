@@ -53,7 +53,7 @@ class Scalar:
     def coerce(cls, value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        return cls(as_fraction(value))
+        return cls(value)
 
     @property
     def re(self) -> Fraction:
@@ -94,16 +94,15 @@ class Scalar:
         return _scalar(-self._re, -self._im, self._den)
 
     def __add__(self, other):
-        if isinstance(other, Scalar):
-            a, b = self._den, other._den
-            if a == b:
-                return _scalar(self._re + other._re, self._im + other._im, a)
-            re, im = self._re * b + other._re * a, self._im * b + other._im * a
-            return _scalar(re, im, a * b)
-        if isinstance(other, (int, Fraction)):
-            n, d = other.numerator, other.denominator
-            return _scalar(self._re * d + n * self._den, self._im * d, self._den * d)
-        return NotImplemented
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(other)
+        a, b = self._den, other._den
+        if a == b:
+            return _scalar(self._re + other._re, self._im + other._im, a)
+        re, im = self._re * b + other._re * a, self._im * b + other._im * a
+        return _scalar(re, im, a * b)
 
     __radd__ = __add__
 
@@ -116,30 +115,26 @@ class Scalar:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            a, b, c, d = self._re, self._im, other._re, other._im
-            return _scalar(a * c - b * d, a * d + b * c, self._den * other._den)
-        if isinstance(other, (int, Fraction)):
-            n, d = other.numerator, other.denominator
-            return _scalar(self._re * n, self._im * n, self._den * d)
-        return NotImplemented
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(other)
+        a, b, c, d = self._re, self._im, other._re, other._im
+        return _scalar(a * c - b * d, a * d + b * c, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Scalar):
-            a, b, c, d = self._re, self._im, other._re, other._im
-            nsq = c * c + d * d
-            if nsq == 0:
-                raise ZeroDivisionError("division by zero Scalar")
-            f = other._den
-            return _scalar((a * c + b * d) * f, (b * c - a * d) * f, self._den * nsq)
-        if isinstance(other, (int, Fraction)):
-            n, d = other.numerator, other.denominator
-            if n == 0:
-                raise ZeroDivisionError("division by zero")
-            return _scalar(self._re * d, self._im * d, self._den * n)
-        return NotImplemented
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(other)
+        a, b, c, d = self._re, self._im, other._re, other._im
+        nsq = c * c + d * d
+        if nsq == 0:
+            raise ZeroDivisionError("division by zero Scalar")
+        f = other._den
+        return _scalar((a * c + b * d) * f, (b * c - a * d) * f, self._den * nsq)
 
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self

@@ -238,7 +238,7 @@ class GeneralSymbol:
                 key = tuple(exps) + tuple(
                     1 if j == yslot - m else 0 for j in range(fiber)
                 )
-                body_terms[key] = body_terms.get(key, Scalar()) + c
+                body_terms[key] = c
         return cls(m, sym.order, MultiPoly(m + fiber, body_terms))
 
     def jet_variables(self) -> list[MultiIndex]:

@@ -34,13 +34,6 @@ class VanishingReport:
             order = self.kind
         return {"point": [str(c) for c in self.point], "order": order}
 
-    def __str__(self):
-        if self.kind == EXACTLY:
-            return f"vanishes to order exactly {self.order}"
-        if self.kind == NOT_VANISHING:
-            return "does not vanish"
-        return "identically zero"
-
 
 def vanishing_order(sym: LinearSymbol, x0: RationalPoint) -> VanishingReport:
     """Classify the vanishing order of all coefficients at a point.

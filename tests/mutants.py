@@ -135,6 +135,15 @@ MUTANTS = (
         ("tests/test_roots.py",),
         "a negative lead flips the signs of Sturm chain members",
     ),
+    Mutant(
+        "gcd-skips-primitive-step",
+        "src/jetforge/roots.py",
+        "        a, b = b, r and _integer_poly(r)\n",
+        "        a, b = b, r\n",
+        ("tests/test_roots.py::test_gcd_remainders_are_made_primitive",),
+        "the gcd stays the same but the remainders grow: 61 bits instead of "
+        "28 on Knuth's pair",
+    ),
     # second paths removed in favour of the first
     Mutant(
         "symbol-keeps-zero-terms",
@@ -228,8 +237,8 @@ MUTANTS = (
     Mutant(
         "scalar-div-drops-divisor-den",
         "src/jetforge/scalar.py",
-        "            f = other._den\n",
-        "            f = 1\n",
+        "        f = other._den\n",
+        "        f = 1\n",
         ("tests/test_scalar.py::test_scalar_matches_the_fraction_oracle",),
         "dividing by (c + d*i)/f multiplies by f",
     ),
@@ -241,6 +250,127 @@ MUTANTS = (
         ("tests/test_scalar.py::test_real_scalar_equals_and_hashes_as_its_rational",
          "tests/test_scalar.py::test_dict_keyed_by_a_fraction_finds_the_equal_scalar"),
         "a real Scalar must hash as the rational it equals",
+    ),
+    # the elimination kernel
+    Mutant(
+        "pivot-times-lead",
+        "src/jetforge/linalg.py",
+        "(x * lr + y * li, y * lr - x * li)",
+        "(x * lr - y * li, y * lr + x * li)",
+        ("tests/test_linalg.py::test_integer_elimination_edge_cases",
+         "tests/test_linalg.py::test_integer_elimination_matches_scalar_oracle"),
+        "a pivot row is scaled by conj(lead), so its lead is a positive integer",
+    ),
+    Mutant(
+        "no-back-substitution-rescale",
+        "src/jetforge/linalg.py",
+        "        if scale > 1:\n",
+        "        if False:\n",
+        ("tests/test_linalg.py::test_solution_satisfies_system",
+         "tests/test_linalg.py::test_integer_elimination_edge_cases"),
+        "the common denominator grows to the lcm of every reduced one",
+    ),
+    Mutant(
+        "consistency-flag-ignored",
+        "src/jetforge/linalg.py",
+        "                    consistent = False\n",
+        "                    consistent = True\n",
+        ("tests/test_linalg.py::test_solve_inconsistent",
+         "tests/test_solver.py::test_solve_unsolvable_raises"),
+        "a row reduced to its right-hand side alone makes the system unsolvable",
+    ),
+    Mutant(
+        "no-pivot-row-content",
+        "src/jetforge/linalg.py",
+        "                    row = _primitive(\n",
+        "                    row = (\n",
+        ("tests/test_linalg.py::test_integer_elimination_edge_cases",
+         "tests/test_linalg.py::test_content_steps_bound_the_parts_entering_primitive[dense-30]"),
+        "a pivot row is stored primitive; without that step the dense 30 x 30 "
+        "system sends 714-bit parts to _primitive instead of 496",
+    ),
+    Mutant(
+        "no-content-step",
+        "src/jetforge/linalg.py",
+        "    if g == 1:\n",
+        "    if True:\n",
+        ("tests/test_linalg.py::test_integer_elimination_edge_cases", "tests/test_linalg.py::test_content_steps_bound_the_parts_entering_primitive"),
+        "without any content step a dense elimination's integers explode",
+    ),
+    Mutant(
+        "no-reduced-row-content",
+        "src/jetforge/linalg.py",
+        "            row = _primitive(row)\n",
+        "",
+        ("tests/test_linalg.py::test_content_steps_bound_the_parts_entering_primitive",),
+        "the results stay the same but the parts reaching _primitive grow: "
+        "318 bits instead of 79 on Lewy s=6, 3,599 instead of 496 dense",
+    ),
+    Mutant(
+        "fiber-column-reversed",
+        "src/jetforge/symbols.py",
+        "row[col_pos[alpha]]",
+        "row[col_pos[alpha[::-1]]]",
+        ("tests/test_symbols.py::test_fiber_matrix_level_zero_single_row",
+         "tests/test_symbols.py::test_prolongation_evaluation_identity"),
+        "entry (beta, alpha) sits in alpha's graded-lex column",
+    ),
+    Mutant(
+        "full-rank-against-columns",
+        "src/jetforge/solver.py",
+        "full=r == jet_dimension(sym.base_dim, k)",
+        "full=r == jet_dimension(sym.base_dim, sym.order + k)",
+        ("tests/test_solver.py::test_lewy_full_rank",
+         "tests/test_cli.py::test_rank_report"),
+        "the level-k map is onto when its rank is the row count C(m+k, m)",
+    ),
+    # integer products and recentring
+    Mutant(
+        "product-cross-term-sign",
+        "src/jetforge/algebra.py",
+        "                im += r1 * i2 + i1 * r2\n",
+        "                im += r1 * i2 - i1 * r2\n",
+        ("tests/test_algebra.py::test_product_matches_scalar_oracle",),
+        "(r1 + i1*i)(r2 + i2*i) has imaginary part r1*i2 + i1*r2",
+    ),
+    Mutant(
+        "product-keeps-cancelled-terms",
+        "src/jetforge/algebra.py",
+        "                if re or im:\n                    out[key] = (re, im)\n"
+        "                else:\n                    del out[key]\n",
+        "                out[key] = (re, im)\n",
+        ("tests/test_algebra.py::test_ring_identities",
+         "tests/test_algebra.py::test_product_matches_scalar_oracle"),
+        "a product stores no zero coefficient",
+    ),
+    Mutant(
+        "product-drops-cancelled-terms-late",
+        "src/jetforge/algebra.py",
+        "                    del out[key]\n        return MultiPoly._trusted(\n",
+        "                    out[key] = (0, 0)\n"
+        "        out = {a: v for a, v in out.items() if v != (0, 0)}\n"
+        "        return MultiPoly._trusted(\n",
+        ("tests/test_algebra.py::test_product_matches_scalar_oracle",),
+        "a term that cancels and comes back goes last, and term order is "
+        "observable through the parser's error location",
+    ),
+    Mutant(
+        "recentred-power-without-weight",
+        "src/jetforge/algebra.py",
+        "f = d_power(lift + w)",
+        "f = d_power(lift)",
+        ("tests/test_algebra.py::test_recentred_matches_scalar_oracle",
+         "tests/test_hostile.py::test_shift_of_a_sparse_high_degree_polynomial"),
+        "a contribution of weight w over d**(|alpha| - w) needs d**(deg - |alpha| + w)",
+    ),
+    Mutant(
+        "from-gaussian-wrong-den",
+        "src/jetforge/scalar.py",
+        "_scalar(re, im, den) for re, im in pairs",
+        "_scalar(re, im, 2 * den) for re, im in pairs",
+        ("tests/test_algebra.py::test_product_matches_scalar_oracle",
+         "tests/test_linalg.py::test_solve_unique"),
+        "the integer kernels hand back values over their common denominator",
     ),
     # the generated-input gate
     Mutant(
@@ -256,29 +386,14 @@ MUTANTS = (
 
 KNOWN_MISSES = (
     Mutant(
-        "no-reduced-row-content",
-        "src/jetforge/linalg.py",
-        "            row = _primitive(row)\n",
-        "",
-        ("tests/test_linalg.py",),
-        "only entry growth changes (92 bits instead of 57 on Lewy pivot "
-        "rows); a bound on linalg.max_entry_bits could catch it",
-    ),
-    Mutant(
         "no-lead-part-gcd",
         "src/jetforge/linalg.py",
         "                    h = math.gcd(lr, li)\n",
         "                    h = 1\n",
         ("tests/test_linalg.py",),
-        "pivot rows stay exact, only their entries grow",
-    ),
-    Mutant(
-        "gcd-skips-primitive-step",
-        "src/jetforge/roots.py",
-        "        a, b = b, r and _integer_poly(r)\n",
-        "        a, b = b, r\n",
-        ("tests/test_roots.py",),
-        "the remainders' coefficients grow, the gcd is the same",
+        "the stored rows are identical and only the cost grows: _primitive "
+        "divides 9,052 rows instead of 7,418 over 36 solve-deep requests, "
+        "and solve-deep loses 3-7% of its throughput",
     ),
 )
 

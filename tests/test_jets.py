@@ -100,6 +100,8 @@ def test_vector_space_operations():
     assert (-a) + a == JetVector.zeros(1, 1)
     with pytest.raises(DimensionMismatch):
         a + JetVector.zeros(1, 2)
+    with pytest.raises(DimensionMismatch):
+        a - JetVector.zeros(1, 2)
 
 
 def test_json_round_trip():

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import dense_oracle
 import kernel_oracle
+from jetforge import linalg
 from jetforge.algebra import MultiPoly
 from jetforge.linalg import _eliminate, mat_vec, rank, solve
 from jetforge.scalar import ONE, Scalar, _from_gaussian
@@ -177,6 +178,40 @@ def test_integer_elimination_edge_cases():
     for matrix, rhs in cases:
         assert_matches_oracle(matrix, rhs)
         assert unit_pivot_rows(matrix, rhs) == kernel_oracle._eliminate(matrix, rhs)
+
+
+def _dense_complex_matrix():
+    rng = random.Random(3)
+    return [[Scalar(rng.randint(-9, 9), rng.randint(-3, 3)) for _ in range(30)]
+            for _ in range(30)]
+
+
+# The content steps leave every result the same; without them the integers
+# grow.  The largest part that reaches _primitive, measured:
+#   Lewy, s = 6: 79 bits; 318 without the reduced-row step;
+#   dense 30 x 30: 496 bits; 714 without the pivot-row step and 3,599
+#   without the reduced-row step.
+# The bounds leave 20-27% headroom.  A part over the bound fails at once, so
+# a mutant whose integers explode fails fast instead of running on.
+@pytest.mark.parametrize(
+    "matrix, bound",
+    [
+        (lambda: fiber_matrix(prolong(lewy_symbol(), 6), ("1/5", "-2/3", "-3/5")), 100),
+        (_dense_complex_matrix, 600),
+    ],
+    ids=["lewy-s6", "dense-30"],
+)
+def test_content_steps_bound_the_parts_entering_primitive(monkeypatch, matrix, bound):
+    primitive = linalg._primitive
+
+    def bounded(row):
+        bits = max((abs(x).bit_length() for pair in row.values() for x in pair), default=0)
+        assert bits <= bound, f"a {bits}-bit part reached _primitive"
+        return primitive(row)
+
+    matrix = matrix()
+    monkeypatch.setattr(linalg, "_primitive", bounded)
+    assert rank(matrix) == min(len(matrix), len(matrix[0]))
 
 
 def test_empty_matrix_matches_oracle():

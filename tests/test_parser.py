@@ -381,6 +381,32 @@ def test_parse_pdo_bad_header():
         parse_pdo("order 1 dim 3\nd[1,0,0]")
 
 
+@pytest.mark.parametrize(
+    "header, accepted",
+    [
+        ("dim 3 order 1", True),
+        ("dim\t3\torder\t1", True),
+        ("dim   3  order    1", True),
+        ("  dim 3 order 1 \t", True),
+        ("dim\u00a03 order\u00a01", True),  # U+00A0 is whitespace
+        ("dim \u0663 order 1", True),  # ARABIC-INDIC DIGIT THREE is a decimal
+        ("dim \u00b2 order 1", False),  # a superscript digit is not
+        ("dim 3 order 1 x", False),
+        ("Dim 3 order 1", False),
+    ],
+    ids=["plain", "tabs", "space-runs", "padded", "nbsp", "arabic-indic-digit",
+         "superscript-digit", "five-fields", "capital-dim"],
+)
+def test_parse_pdo_header(header, accepted):
+    text = f"# comment\n{header}\n{LEWY_PDO.splitlines()[-1]}\n"
+    if accepted:
+        assert parse_pdo(text) == lewy_symbol()
+    else:
+        with pytest.raises(ParseError) as info:
+            parse_pdo(text)
+        assert str(info.value) == "2:1: first line must read 'dim m order r'"
+
+
 def test_parse_pdo_errors_carry_file_lines():
     with pytest.raises(ParseError) as info:
         parse_pdo("# one\n# two\ndim 1 order 1\n\nd[1] + $\n")

@@ -3,6 +3,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 import roots_oracle
+from jetforge import roots
 from jetforge.roots import count_real_roots, first_rational_root, poly_gcd
 from roots_oracle import rational_root_candidates, sturm_chain
 
@@ -167,3 +168,19 @@ def test_poly_gcd_matches_fraction_euclid_oracle(pair):
     assert all(type(c) is Fraction for c in got)
     if coprime:
         assert got == F(1)
+
+
+def test_gcd_remainders_are_made_primitive(monkeypatch):
+    """Knuth's coprime pair (TAOCP vol. 2, 4.6.1): the remainders peak at
+    28 bits, and at 61 bits when they are not made primitive.  The bound
+    leaves 29% headroom."""
+    prem, bits = roots._prem, []
+
+    def recorded(a, b):
+        r = prem(a, b)
+        bits.extend(abs(c).bit_length() for c in r)
+        return r
+
+    monkeypatch.setattr(roots, "_prem", recorded)
+    assert poly_gcd(F(-5, 2, 8, -3, -3, 0, 1, 0, 1), F(21, -9, -4, 0, 5, 0, 3)) == F(1)
+    assert max(bits) <= 36

@@ -39,8 +39,9 @@ def test_division():
     assert Scalar(1) / Scalar(0, 1) == Scalar(0, -1)
     z = Scalar(3, 4)
     assert z / z == 1
-    with pytest.raises(ZeroDivisionError):
-        Scalar(1) / Scalar(0)
+    for zero in (Scalar(0), 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            Scalar(1) / zero
 
 
 def test_powers():
