@@ -16,7 +16,8 @@ from operator import add, mul
 
 from .errors import DimensionMismatch, DuplicatePoints, NotAUnit
 from .jets import JetVector, MultiIndex, _indices, factorial, graded_key, weight
-from .scalar import ONE, Scalar, _from_gaussian, _to_gaussian, as_fraction, power
+from .scalar import (ONE, Scalar, _from_gaussian, _term_text, _to_gaussian,
+                     as_fraction, power)
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -303,8 +304,6 @@ def shift(p: MultiPoly, x0: RationalPoint) -> MultiPoly:
 
 def taylor_jet(p: MultiPoly, x0: RationalPoint, k: int) -> JetVector:
     """The order-k jet of p at x0: raw derivatives D^alpha p(x0), |alpha| <= k."""
-    if k < 0:
-        raise ValueError("jet order must be >= 0")
     centred = _recentred(p, x0, k)
     zero = Scalar()
     entries = [centred.get(a, zero) * factorial(a) for a in _indices(p.num_vars, k)]
@@ -433,13 +432,3 @@ def _join_signed(parts: list[str]) -> str:
         else:
             out += " + " + part
     return out
-
-
-def _term_text(c: Scalar, mono: str) -> str:
-    if not mono:
-        return str(c)
-    if c == 1:
-        return mono
-    if c == -1:
-        return "-" + mono
-    return f"{c}*{mono}"

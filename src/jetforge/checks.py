@@ -104,10 +104,31 @@ def rand_symbol_nonzero_principal(
     return LinearSymbol(m, r, terms)
 
 
+def _rand_points(rng: random.Random, m: int, n: int) -> list:
+    """n pairwise distinct random points in m variables."""
+    points = []
+    while len(points) < n:
+        p = rand_point(rng, m)
+        if p not in points:
+            points.append(p)
+    return points
+
+
 def _rand_shape(rng: random.Random):
     m = rng.randint(1, 3)
     r = rng.randint(0, 2)
     return m, r
+
+
+def _check_solved(result: SuiteResult, sym, g, points, s: int, describe) -> None:
+    """Solve P(f) = g to order s at the points and record whether f passes
+    the jet check; an unsolvable instance is a failure."""
+    try:
+        f = solve(sym, g, points, s).polynomial
+    except UnsolvableError:
+        result.check(False, lambda: f"unsolvable: {describe()}")
+        return
+    result.check(residual_vanishes(sym, g, f, points, s), describe)
 
 
 def prolongation_identity_suite(rng: random.Random, cases: int = 200) -> SuiteResult:
@@ -203,31 +224,16 @@ def surjectivity_suite(rng: random.Random, cases: int = 100) -> SuiteResult:
 def solver_soundness_suite(rng: random.Random, cases: int = 200) -> SuiteResult:
     """Solutions reproduce the target jet of g through the operator exactly."""
     result = SuiteResult("solver soundness")
-    lewy = lewy_symbol()
-    g = MultiPoly.variable(3, 1)
-    x0 = (Fraction(0),) * 3
-    f = solve(lewy, g, [x0], 2).polynomial
-    result.check(
-        residual_vanishes(lewy, g, f, [x0], 2),
-        lambda: "lewy with g=x1 at order 2 missed its jet",
-    )
+    _check_solved(result, lewy_symbol(), MultiPoly.variable(3, 1),
+                  [(Fraction(0),) * 3], 2, lambda: "lewy with g=x1 at order 2")
     for _ in range(cases):
         m, r = _rand_shape(rng)
         s = rng.randint(0, 2)
         x0 = rand_point(rng, m)
         sym = rand_symbol_nonzero_principal(rng, m, r, coeff_deg=2, points=[x0])
         g = rand_poly(rng, m, rng.randint(0, 3))
-        try:
-            f = solve(sym, g, [x0], s).polynomial
-        except UnsolvableError:
-            result.check(
-                False, lambda: f"surjective instance unsolvable: sym={sym}, x0={x0}"
-            )
-            continue
-        result.check(
-            residual_vanishes(sym, g, f, [x0], s),
-            lambda: f"sym={sym}, g={g}, x0={x0}, s={s}",
-        )
+        _check_solved(result, sym, g, [x0], s,
+                      lambda: f"sym={sym}, g={g}, x0={x0}, s={s}")
     return result
 
 
@@ -249,15 +255,7 @@ def singular_solving_suite(rng: random.Random = None) -> SuiteResult:
     ]
     for g in flat_rhs:
         for s in range(3):
-            try:
-                f = solve(singular, g, [x0], s).polynomial
-            except UnsolvableError:
-                result.check(False, lambda: f"g={g}, s={s} reported unsolvable")
-                continue
-            result.check(
-                residual_vanishes(singular, g, f, [x0], s),
-                lambda: f"g={g}, s={s} failed the jet check",
-            )
+            _check_solved(result, singular, g, [x0], s, lambda: f"g={g}, s={s}")
     one = MultiPoly.constant(3, 1)
     try:
         solve(singular, one, [x0], 0)
@@ -273,25 +271,11 @@ def gluing_suite(rng: random.Random, cases: int = 50) -> SuiteResult:
     for _ in range(cases):
         m, r = _rand_shape(rng)
         s = rng.randint(0, 1)
-        n_points = rng.randint(2, 3)
-        points = []
-        while len(points) < n_points:
-            p = rand_point(rng, m)
-            if p not in points:
-                points.append(p)
+        points = _rand_points(rng, m, rng.randint(2, 3))
         sym = rand_symbol_nonzero_principal(rng, m, r, coeff_deg=1, points=points)
         g = rand_poly(rng, m, rng.randint(0, 2))
-        try:
-            f = solve(sym, g, points, s).polynomial
-        except UnsolvableError:
-            result.check(
-                False, lambda: f"surjective instance unsolvable: sym={sym}"
-            )
-            continue
-        result.check(
-            residual_vanishes(sym, g, f, points, s),
-            lambda: f"sym={sym}, g={g}, points={points}, s={s}",
-        )
+        _check_solved(result, sym, g, points, s,
+                      lambda: f"sym={sym}, g={g}, points={points}, s={s}")
     return result
 
 
@@ -336,12 +320,7 @@ def hermite_suite(rng: random.Random, cases: int = 100) -> SuiteResult:
     for _ in range(cases):
         m = rng.randint(1, 3)
         k = rng.randint(0, 2)
-        n_points = rng.randint(1, 3)
-        points = []
-        while len(points) < n_points:
-            p = rand_point(rng, m)
-            if p not in points:
-                points.append(p)
+        points = _rand_points(rng, m, rng.randint(1, 3))
         jets = [
             JetVector(
                 m, k, [rand_scalar(rng) for _ in range(jet_dimension(m, k))]

@@ -51,14 +51,17 @@ def _check_level(level: int) -> None:
         raise JetforgeError("level must be >= 0")
 
 
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: NUL in the path, or not UTF-8
+        raise JetforgeError(f"cannot read {what} file: {exc}") from None
+
+
 def _load_operator(op_arg: str):
     path = Path(op_arg)
     if path.suffix == ".pdo":
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, ValueError) as exc:  # ValueError: NUL in the path, or not UTF-8
-            raise JetforgeError(f"cannot read operator file: {exc}") from None
-        return parse_pdo(text)
+        return parse_pdo(_read_text(path, "operator"))
     return parse_operator(op_arg)
 
 
@@ -239,12 +242,9 @@ def _cmd_solve(args) -> tuple[dict, int]:
 
 
 def _read_points_file(path_text: str):
-    try:
-        raw = Path(path_text).read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: NUL in the path, or not UTF-8
-        raise JetforgeError(f"cannot read points file: {exc}") from None
     points = []
-    for number, line in enumerate(raw.splitlines(), start=1):
+    lines = _read_text(path_text, "points").splitlines()
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if line and not line.startswith("#"):
             points.append(parse_point(line, number))

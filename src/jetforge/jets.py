@@ -194,8 +194,6 @@ class JetVector:
         """Forget entries above order l (the bundle projection on fibers)."""
         if l > self.order:
             raise OrderTooHigh(f"cannot project order {self.order} up to {l}")
-        if l < 0:
-            raise ValueError("projection order must be >= 0")
         return JetVector(
             self.base_dim, l, self.entries[: jet_dimension(self.base_dim, l)]
         )

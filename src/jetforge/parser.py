@@ -139,8 +139,7 @@ class _Parser:
         return tok
 
     def fail(self, message: str, expected=()):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column, expected)
+        _fail(message, self.peek(), expected)
 
     @staticmethod
     def describe(tok: _Token) -> str:
@@ -189,10 +188,10 @@ class _Parser:
             value = Fraction(tok.value)
             if self.peek().kind == "/":
                 self.advance()
-                denom = self.expect("int").value
-                if denom == 0:
-                    self.fail("zero denominator")
-                value = Fraction(tok.value, denom)
+                denom = self.expect("int")
+                if denom.value == 0:
+                    _fail("zero denominator", denom)
+                value = Fraction(tok.value, denom.value)
             return ("const", Scalar(value))
         if tok.kind == "(":
             if self.depth == _MAX_NESTING:
@@ -221,19 +220,11 @@ class _Parser:
         elif name.startswith("x") and name[1:].isdecimal():
             index = _int(name[1:], tok.line, tok.column)
             if index < 1:
-                raise ParseError(
-                    f"variable index must be >= 1, got {name!r}",
-                    tok.line,
-                    tok.column,
-                )
+                _fail(f"variable index must be >= 1, got {name!r}", tok)
             key = ("x", index)
         else:
-            raise ParseError(
-                f"unknown identifier {name!r} (expected x<k>, i, d[...] or y[...])",
-                tok.line,
-                tok.column,
-                expected=("variable", "i", "d", "y"),
-            )
+            _fail(f"unknown identifier {name!r} (expected x<k>, i, d[...] or y[...])",
+                  tok, expected=("variable", "i", "d", "y"))
         self.atoms.setdefault(key, tok)
         return ("atom", key)
 
@@ -263,8 +254,8 @@ def _evaluate(node, variables):
     return reduce(add if op == "+" else mul, values)
 
 
-def _fail(message: str, tok: _Token):
-    raise ParseError(message, tok.line, tok.column)
+def _fail(message: str, tok: _Token, expected=()):
+    raise ParseError(message, tok.line, tok.column, expected)
 
 
 def _top(parsed: _Parser, kind: str):

@@ -152,23 +152,27 @@ class Scalar:
         if im == 0:
             return str(re)
         if re == 0:
-            if im == 1:
-                return "i"
-            if im == -1:
-                return "-i"
-            return f"{im}*i"
+            return _term_text(im, "i")
         sign = "-" if im < 0 else "+"
-        mag = abs(im)
-        imag = "i" if mag == 1 else f"{mag}*i"
-        return f"({re} {sign} {imag})"
+        return f"({re} {sign} {_term_text(abs(im), 'i')})"
+
+
+def _term_text(c, mono: str) -> str:
+    """The text of c times the atom or monomial ``mono``, with a
+    coefficient 1 or -1 elided."""
+    if not mono:
+        return str(c)
+    if c == 1:
+        return mono
+    if c == -1:
+        return "-" + mono
+    return f"{c}*{mono}"
 
 
 def _scalar(re: int, im: int, den: int) -> Scalar:
-    """The Scalar ``(re + im*i) / den`` (den != 0), brought to canonical form."""
+    """The Scalar ``(re + im*i) / den`` (den > 0), brought to canonical form."""
     if den != 1:
         g = math.gcd(re, im, den)
-        if den < 0:
-            g = -g
         if g != 1:
             re, im, den = re // g, im // g, den // g
     s = object.__new__(Scalar)

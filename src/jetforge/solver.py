@@ -243,10 +243,10 @@ def pcp_check(sym, g: MultiPoly, x0: RationalPoint) -> PCPWitness:
     roots, and is only a proof of emptiness when the reduction covers
     the symbol's whole jet dependence.
     """
+    if not isinstance(sym, (LinearSymbol, GeneralSymbol)):
+        raise TypeError(f"expected a symbol, got {type(sym).__name__}")
     _check_rhs(sym, g)
     x0 = _point(x0, sym.base_dim)
     if isinstance(sym, LinearSymbol):
         return _linear_witness(sym, g, x0)
-    if isinstance(sym, GeneralSymbol):
-        return _nonlinear_witness(sym, g, x0)
-    raise TypeError(f"expected a symbol, got {type(sym).__name__}")
+    return _nonlinear_witness(sym, g, x0)

@@ -34,7 +34,7 @@ from .jets import (
     jet_dimension,
     weight,
 )
-from .scalar import Scalar
+from .scalar import Scalar, _term_text
 
 
 class LinearSymbol:
@@ -213,10 +213,6 @@ class GeneralSymbol:
     __slots__ = ("base_dim", "order", "body")
 
     def __init__(self, base_dim: int, order: int, body: MultiPoly):
-        if base_dim < 1:
-            raise ValueError("base dimension must be >= 1")
-        if order < 0:
-            raise ValueError("operator order must be >= 0")
         expected = base_dim + jet_dimension(base_dim, order)
         if body.num_vars != expected:
             raise DimensionMismatch(
@@ -301,10 +297,8 @@ def format_operator(sym: LinearSymbol) -> str:
         slot = "d[" + ",".join(str(a) for a in alpha) + "]"
         # the one zero-exponent term of a constant coefficient, else None
         c = coeff.terms.get(constant) if len(coeff.terms) == 1 else None
-        if c == 1:
-            parts.append(slot)
-        elif c == -1:
-            parts.append("-" + slot)
+        if c is not None:
+            parts.append(_term_text(c, slot))
         elif len(coeff.terms) > 1:
             parts.append(f"({format_poly(coeff)})*{slot}")
         else:

@@ -7,15 +7,19 @@ matters.  Run it by hand from the repository root (a few minutes)::
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME [NAME]  # only these
 
-It copies ``src/`` and ``tests/`` into a temporary directory, applies one
-mutant at a time there and runs its tests with ``python -m pytest -x -q
---hypothesis-seed=0``.  A mutant is caught when those tests fail.  The
-known misses change only what a result costs, not the result; they run
-too and are expected to survive.  The exit status is 1 when a mutant
-survives, a known miss is caught (move it to ``MUTANTS``), or a run
-errs.  ``tests/test_mutants.py`` checks in tier-1 that each old text
-occurs exactly once in its file, so a refactor that removes it must
-re-target the mutant.
+It copies ``src/``, ``tests/``, ``perfbench/``, ``README.md`` and
+``pyproject.toml`` into a temporary directory (``tests/test_api.py`` reads
+``perfbench/`` and ``README.md``), applies one mutant at a time there and
+runs its tests with ``python -m pytest -x -q --hypothesis-seed=0``.  A
+mutant is caught when those tests fail.  Each record names test node
+ids, never a whole file: under a mutant of an arithmetic kernel a file's
+hypothesis tests can run for many minutes.  The known misses change only
+what a result costs, not the result; they run too and are expected to
+survive.  The exit status is 1 when a mutant survives, a known miss is
+caught (move it to ``MUTANTS``), or a run errs.  ``tests/test_mutants.py``
+checks in tier-1 that each old text occurs exactly once in its file, so a
+refactor that removes it must re-target the mutant, and that each record
+names node ids.
 
 Stdlib only; pytest does not collect this file.
 """
@@ -83,7 +87,7 @@ MUTANTS = (
         "src/jetforge/roots.py",
         "bound if z is None else z - 1)",
         "bound if z is None else z)",
-        ("tests/test_roots.py",),
+        ("tests/test_roots.py::test_first_rational_root",),
         "of two roots of equal size the positive one comes first",
     ),
     Mutant(
@@ -91,7 +95,8 @@ MUTANTS = (
         "src/jetforge/roots.py",
         "    q = [c * a ** (n - 1 - i) for i, c in enumerate(p[:-1])] + [1]\n",
         "    q, a = p, 1\n",
-        ("tests/test_roots.py",),
+        ("tests/test_roots.py::test_first_rational_root",
+         "tests/test_roots.py::test_planted_roots_of_any_height_are_found"),
         "without z = a*y the integer roots of q are not the rational roots",
     ),
     Mutant(
@@ -124,7 +129,7 @@ MUTANTS = (
         "src/jetforge/roots.py",
         "    while b:\n",
         "    while len(b) > 1:\n",
-        ("tests/test_roots.py",),
+        ("tests/test_roots.py::test_poly_gcd",),
         "a constant remainder means the gcd is 1",
     ),
     Mutant(
@@ -132,7 +137,7 @@ MUTANTS = (
         "src/jetforge/roots.py",
         "    b = b if b[-1] > 0 else [-c for c in b]\n",
         "",
-        ("tests/test_roots.py",),
+        ("tests/test_roots.py::test_roots_match_divisor_search_oracle",),
         "a negative lead flips the signs of Sturm chain members",
     ),
     Mutant(
@@ -158,7 +163,8 @@ MUTANTS = (
         "src/jetforge/vanishing.py",
         "            return level\n",
         "            return level + 1\n",
-        ("tests/test_vanishing.py",),
+        ("tests/test_vanishing.py::test_desingularization_of_quadratic_zero",
+         "tests/test_vanishing.py::test_desingularization_law_random"),
         "the minimal level is the first nonzero one",
     ),
     Mutant(
@@ -198,7 +204,8 @@ MUTANTS = (
         "src/jetforge/algebra.py",
         "(int, Fraction, Scalar, MultiPoly)):",
         "(MultiPoly,)):",
-        ("tests/test_algebra.py",),
+        ("tests/test_algebra.py::test_two_point_order_zero",
+         "tests/test_algebra.py::test_interpolation_degree_is_bounded"),
         "MultiPoly - number must go through __add__'s conversion",
     ),
     Mutant(
@@ -216,6 +223,24 @@ MUTANTS = (
         '    if path.suffix == ".pdo" or path.is_file():\n',
         ("tests/test_cli.py::test_only_a_pdo_suffix_makes_op_a_file",),
         "only a .pdo suffix makes --op a path",
+    ),
+    # one rule, one helper
+    Mutant(
+        "check-solved-ignores-verdict",
+        "src/jetforge/checks.py",
+        "    result.check(residual_vanishes(sym, g, f, points, s), describe)\n",
+        "    result.check(True, describe)\n",
+        ("tests/test_acceptance.py::test_solving_suites_report_a_wrong_solution",),
+        "a suite that records a solve as passed without the jet check proves nothing",
+    ),
+    Mutant(
+        "term-text-keeps-minus-one",
+        "src/jetforge/scalar.py",
+        '    if c == -1:\n        return "-" + mono\n',
+        "",
+        ("tests/test_scalar.py::test_text_forms",
+         "tests/test_parser.py::test_format_operator_prints_unit_coefficients_bare"),
+        "a coefficient -1 prints as a bare minus, in Scalars, polynomials and operators",
     ),
     # one Gaussian integer over one denominator
     Mutant(
@@ -378,7 +403,7 @@ MUTANTS = (
         "src/jetforge/cli.py",
         'reports = report["reports"] if kind',
         'reports = report["report"] if kind',
-        ("tests/test_generated_requests.py",),
+        ("tests/test_generated_requests.py::test_generated_requests_exit_0_1_or_2",),
         "rendering a text report must not raise; no hand-picked test "
         "renders a vanish grid as text",
     ),
@@ -428,9 +453,10 @@ def main(names: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, workdir / part, ignore=skip)
-        shutil.copy(ROOT / "pyproject.toml", workdir)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, workdir)
         for mutant, must_catch in chosen:
             outcome = _run(mutant, workdir)
             expected = "caught" if must_catch else "missed"

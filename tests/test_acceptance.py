@@ -7,8 +7,12 @@ runtime; run with ``pytest tests/test_acceptance.py -v -s`` to see them.
 
 import random
 import time
+from types import SimpleNamespace
+
+import pytest
 
 from jetforge import checks
+from jetforge.algebra import MultiPoly
 
 
 def _criterion(number, title, suite, cases=None):
@@ -76,3 +80,24 @@ def test_criterion_9_hermite_interpolation():
     # 100 random instances, m <= 3, order <= 2, up to 3 points: exact jet
     # match everywhere.
     _criterion(9, "jet interpolation", checks.hermite_suite, 100)
+
+
+@pytest.mark.parametrize(
+    "suite, cases",
+    [
+        (checks.solver_soundness_suite, 5),
+        (checks.singular_solving_suite, None),
+        (checks.gluing_suite, 5),
+    ],
+    ids=["solver-soundness", "singular-solving", "gluing"],
+)
+def test_solving_suites_report_a_wrong_solution(monkeypatch, suite, cases):
+    # f = x1 misses Lewy's g = x1 (P(x1) = 1), the singular operator's flat
+    # right-hand sides at s = 2 (P(x1) = x1^2), and some gluing draw
+    def wrong(sym, g, points, s):
+        return SimpleNamespace(polynomial=MultiPoly.variable(sym.base_dim, 1))
+
+    monkeypatch.setattr(checks, "solve", wrong)
+    rng = random.Random(0)
+    result = suite(rng) if cases is None else suite(rng, cases)
+    assert [f for f in result.failures if "g=1 unexpectedly solvable" not in f]

@@ -13,6 +13,7 @@ from jetforge.algebra import (
     _recentred,
     _separating_form,
     derivative,
+    distinct_points,
     format_poly,
     hermite_interpolate,
     jet_quotient,
@@ -504,6 +505,39 @@ def test_point_of_wrong_length_has_one_message(call):
     with pytest.raises(DimensionMismatch) as info:
         call((Fraction(1),))
     assert str(info.value) == "point of length 1 for dimension 2"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: distinct_points([]), ValueError, "need at least one point"),
+        (lambda: MultiPoly(0), ValueError, "polynomials need at least one variable"),
+        (lambda: MultiPoly(2, {(1,): 1}), DimensionMismatch,
+         "exponent (1,) invalid for 2 variables"),
+        (lambda: MultiPoly(1, {(-1,): 1}), DimensionMismatch,
+         "exponent (-1,) invalid for 1 variables"),
+        (lambda: MultiPoly.variable(2, 3), DimensionMismatch,
+         "variable index 3 outside 1..2"),
+        (lambda: _P2.partial(3), DimensionMismatch, "variable index 3 outside 1..2"),
+        (lambda: _P2 ** -1, ValueError,
+         "polynomial powers take nonnegative integer exponents"),
+        (lambda: hermite_interpolate([(0,), (1,)], [JetVector.zeros(1, 0)]),
+         DimensionMismatch, "one jet per point required"),
+        (lambda: hermite_interpolate([(0,), (0, 1)], [JetVector.zeros(1, 0)] * 2),
+         DimensionMismatch, "interpolation points have mixed dimensions"),
+        (lambda: taylor_jet(_P2, (0, 0), -1), ValueError,
+         "jet order must be >= 0, got -1"),
+    ],
+    ids=[
+        "no-points", "no-variables", "exponent-length", "negative-exponent",
+        "variable-index", "partial-index", "negative-power", "jet-count",
+        "mixed-point-lengths", "negative-jet-order",
+    ],
+)
+def test_invalid_arguments_raise_their_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_evaluate_takes_scalar_coordinates():

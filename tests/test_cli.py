@@ -406,6 +406,62 @@ def test_bad_integer_literals_exit_2(capsys, op, where):
 
 
 @pytest.mark.parametrize(
+    "op, where",
+    [("1/0*d[1]", "1:3"), ("d[1] + 1/0", "1:10"), ("(1/0)*d[1]", "1:4")],
+    ids=["before-star", "at-end", "before-paren"],
+)
+def test_zero_denominator_is_located_at_the_zero(capsys, op, where):
+    assert run_command(["symbol", "--op", op]) == 2
+    assert capsys.readouterr().err == f"error: {where}: zero denominator\n"
+
+
+@pytest.mark.parametrize(
+    "argv, max_prolong, message",
+    [
+        (["prolong", "--op", "y[1]^2", "--level", "1"], None,
+         "this command needs a linear operator (d[...] atoms)"),
+        (["rank", "--op", "d[1]", "--point", "0", "--level=-1"], None,
+         "level must be >= 0"),
+        (["solve-multi", "--op", "d[1]", "--points-file", "{comments}",
+          "--order", "0", "--rhs", "1"], None, "points file contains no points"),
+        (["prolong", "--op", "d[1]", "--level", "1"], "abc",
+         "JETFORGE_MAX_PROLONG must be an integer, got 'abc'"),
+        (["symbol", "--op", "x0*d[1]"], None,
+         "1:1: variable index must be >= 1, got 'x0'"),
+        (["symbol", "--op", "{comments}.pdo"], None, "1:1: empty operator file"),
+    ],
+    ids=["nonlinear-prolong", "negative-level", "points-file-of-comments",
+         "max-prolong-not-int", "variable-x0", "pdo-of-comments"],
+)
+def test_input_errors_exit_2_with_their_message(
+    capsys, tmp_path, monkeypatch, argv, max_prolong, message
+):
+    comments = tmp_path / "comments"
+    for path in (comments, comments.with_suffix(".pdo")):
+        path.write_text("# only a comment\n\n")
+    if max_prolong is None:
+        monkeypatch.delenv("JETFORGE_MAX_PROLONG", raising=False)
+    else:
+        monkeypatch.setenv("JETFORGE_MAX_PROLONG", max_prolong)
+    argv = [a.replace("{comments}", str(comments)) for a in argv]
+    assert run_command(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_check_text_output_ends_with_its_verdict(capsys):
+    assert run_command(["check", "--quick", "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10 and lines[-1] == "all passed"
+
+
+def test_vanish_text_for_a_zero_operator(capsys, tmp_path):
+    path = tmp_path / "zero.pdo"
+    path.write_text("dim 2 order 1\n0\n")
+    assert run_command(["vanish", "--op", str(path), "--point", "0,1"]) == 0
+    assert capsys.readouterr().out == "point (0, 1): identically zero\n"
+
+
+@pytest.mark.parametrize(
     "header, message",
     [
         ("dim \u00b2 order 1", "first line must read 'dim m order r'"),

@@ -69,6 +69,8 @@ def test_projection_too_high():
     jet = JetVector(1, 2, [1, 2, 2])
     with pytest.raises(OrderTooHigh):
         jet.project(3)
+    with pytest.raises(ValueError, match=r"^jet order must be >= 0, got -1$"):
+        jet.project(-1)
 
 
 def test_projection_tower_composes():

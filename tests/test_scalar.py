@@ -76,6 +76,9 @@ def test_text_forms():
     assert str(Scalar(Fraction(3, 2))) == "3/2"
     assert str(Scalar(0, 1)) == "i"
     assert str(Scalar(0, -1)) == "-i"
+    assert str(Scalar(0, -3)) == "-3*i"
+    assert str(Scalar(2, -1)) == "(2 - i)"
+    assert str(Scalar(2, 1)) == "(2 + i)"
     assert str(Scalar(0, Fraction(5, 3))) == "5/3*i"
     assert str(Scalar(1, 2)) == "(1 + 2*i)"
     assert str(Scalar(1, -2)) == "(1 - 2*i)"

@@ -368,6 +368,12 @@ def test_membership_negative_order_rejected():
 
 # -- pointwise covering witnesses -------------------------------------------
 
+def test_pcp_refuses_a_non_symbol():
+    # refused before any attribute of the symbol is read
+    for sym in (MultiPoly.constant(1, 1), None):
+        with pytest.raises(TypeError, match="^expected a symbol, got "):
+            pcp_check(sym, MultiPoly.constant(1, 1), ZERO1)
+
 def test_linear_witness_lewy():
     witness = pcp_check(lewy_symbol(), MultiPoly.constant(3, 1), ORIGIN3)
     assert witness.found

@@ -25,6 +25,36 @@ from jetforge.symbols import (
 ORIGIN3 = (Fraction(0),) * 3
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: LinearSymbol(0, 1), ValueError, "base dimension must be >= 1"),
+        (lambda: LinearSymbol(1, -1), ValueError, "operator order must be >= 0"),
+        (lambda: LinearSymbol(1, 1, {(1, 0): 1}), DimensionMismatch,
+         "term index (1, 0) has length 2, expected 1"),
+        (lambda: LinearSymbol(1, 1, {(1,): MultiPoly.constant(2, 1)}),
+         DimensionMismatch, "coefficient in 2 variables on a 1-dimensional symbol"),
+        (lambda: GeneralSymbol(1, 1, MultiPoly(2)), DimensionMismatch,
+         "body has 2 variables, expected 3"),
+        (lambda: GeneralSymbol(0, 1, MultiPoly(1)), ValueError,
+         "base dimension must be >= 1, got 0"),
+        (lambda: GeneralSymbol(1, -1, MultiPoly(1)), ValueError,
+         "jet order must be >= 0, got -1"),
+        (lambda: apply_operator(ddx(), MultiPoly(2)), DimensionMismatch,
+         "operand in 2 variables under a 1-dimensional operator"),
+    ],
+    ids=[
+        "linear-dimension", "linear-order", "term-index-length",
+        "coefficient-variables", "body-width", "general-dimension",
+        "general-order", "operand-dimension",
+    ],
+)
+def test_invalid_arguments_raise_their_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def ddx():
     return LinearSymbol(1, 1, {(1,): MultiPoly.constant(1, 1)})
 

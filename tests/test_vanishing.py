@@ -118,6 +118,11 @@ def test_zero_symbol_exceeds_any_cap():
     assert desingularization_order(LinearSymbol(1, 1, {}), ZERO1, cap=4) is None
 
 
+def test_negative_cap_is_refused():
+    with pytest.raises(ValueError, match=r"^cap must be >= 0$"):
+        desingularization_order(ddx(), ZERO1, cap=-1)
+
+
 def test_desingularization_law_random():
     rng = random.Random(13)
     for _ in range(40):
