@@ -28,7 +28,6 @@ from .errors import (
     UnsolvableError,
 )
 from .jets import (
-    JetSpec,
     JetVector,
     MultiIndex,
     enumerate_multiindices,

@@ -16,8 +16,8 @@ from operator import add, mul
 
 from .errors import DimensionMismatch, DuplicatePoints, NotAUnit
 from .jets import JetVector, MultiIndex, _indices, factorial, graded_key, weight
-from .scalar import (ONE, Scalar, _from_gaussian, _term_text, _to_gaussian,
-                     as_fraction, power)
+from .scalar import (ONE, ZERO, Scalar, _from_gaussian, _term_text,
+                     _to_gaussian, as_fraction, power)
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -119,14 +119,9 @@ class MultiPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, MultiPoly):
-            return self.num_vars == other.num_vars and self.terms == other.terms
-        if isinstance(other, (int, Fraction, Scalar)):
-            c = Scalar.coerce(other)
-            if not c:
-                return not self.terms
-            return self.terms == {(0,) * self.num_vars: c}
-        return NotImplemented
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self.num_vars == other.num_vars and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
@@ -147,7 +142,7 @@ class MultiPoly:
         self._check_same(other)
         out = dict(self.terms)
         for alpha, c in other.terms.items():
-            s = out.get(alpha, Scalar()) + c
+            s = out.get(alpha, ZERO) + c
             if s:
                 out[alpha] = s
             else:
@@ -165,9 +160,6 @@ class MultiPoly:
         if not isinstance(other, (int, Fraction, Scalar, MultiPoly)):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -224,7 +216,7 @@ class MultiPoly:
         """Exact value at a point whose coordinates are rationals or Scalars;
         at a rational point each monomial is a Fraction product."""
         coords = _point(x0, self.num_vars, _coordinates)
-        total = Scalar()
+        total = ZERO
         for alpha, c in self.terms.items():
             f = Fraction(1)
             for x, e in zip(coords, alpha):
@@ -305,8 +297,7 @@ def shift(p: MultiPoly, x0: RationalPoint) -> MultiPoly:
 def taylor_jet(p: MultiPoly, x0: RationalPoint, k: int) -> JetVector:
     """The order-k jet of p at x0: raw derivatives D^alpha p(x0), |alpha| <= k."""
     centred = _recentred(p, x0, k)
-    zero = Scalar()
-    entries = [centred.get(a, zero) * factorial(a) for a in _indices(p.num_vars, k)]
+    entries = [centred.get(a, ZERO) * factorial(a) for a in _indices(p.num_vars, k)]
     return JetVector(p.num_vars, k, entries)
 
 
@@ -332,8 +323,7 @@ def jet_quotient(num: JetVector, den: JetVector) -> JetVector:
     weight by weight in graded-lex order, so every q_b it uses is known
     (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).
     """
-    if num.spec != den.spec:
-        raise DimensionMismatch("jet specs differ")
+    num._check_same(den)
     g = {b: gb for b, gb in _centred(den).items() if gb}
     g0 = g.pop((0,) * den.base_dim, None)
     if g0 is None:

@@ -21,8 +21,9 @@ from pathlib import Path
 from .algebra import format_poly
 from .checks import run_all
 from .errors import JetforgeError, UnsolvableError
-from .jets import jet_dimension
+from .jets import _slot_text, jet_dimension
 from .parser import parse_operator, parse_pdo, parse_point, parse_polynomial
+from .scalar import Scalar
 from .solver import check_surjectivity, pcp_check, residual_vanishes, solve
 from .symbols import LinearSymbol, format_operator, principal_part, prolong
 from .vanishing import finsupp_scan
@@ -95,8 +96,7 @@ def _text_lines(report: dict) -> list[str]:
     if kind == "prolong":
         lines = [f"prolongation level {report['level']}:"]
         for comp in report["components"]:
-            beta = ",".join(str(b) for b in comp["beta"])
-            lines.append(f"  beta=[{beta}]  {comp['symbol']}")
+            lines.append(f"  {_slot_text('beta=', comp['beta'])}  {comp['symbol']}")
         return lines
     if kind == "vanish" or (kind is None and "order" in report):
         reports = report["reports"] if kind == "vanish" else [report]
@@ -128,8 +128,7 @@ def _text_lines(report: dict) -> list[str]:
     if kind == "pcp":
         if report["status"] == "witness":
             entries = [
-                f"y[{','.join(str(a) for a in e['alpha'])}] = {e['re']}"
-                + (f" + {e['im']}*i" if e["im"] != "0" else "")
+                f"{_slot_text('y', e['alpha'])} = {Scalar(e['re'], e['im'])}"
                 for e in report["jet"]["entries"]
                 if e["re"] != "0" or e["im"] != "0"
             ]

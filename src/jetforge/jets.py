@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import BadDirection, DimensionMismatch, OrderTooHigh
-from .scalar import Scalar
+from .scalar import ZERO, Scalar
 
 MultiIndex = tuple[int, ...]
 
@@ -25,6 +24,11 @@ def weight(alpha: MultiIndex) -> int:
 def graded_key(alpha: MultiIndex):
     """Sort key realizing the graded-lex order used everywhere."""
     return (sum(alpha), tuple(-a for a in alpha))
+
+
+def _slot_text(kind: str, alpha: MultiIndex) -> str:
+    """The label ``kind[a1,...,am]`` of a multiindex slot."""
+    return f"{kind}[{','.join(map(str, alpha))}]"
 
 
 def bump(alpha: MultiIndex, i: int) -> MultiIndex:
@@ -98,15 +102,6 @@ def jet_dimension(m: int, k: int) -> int:
     return math.comb(m + k, m)
 
 
-class JetSpec(NamedTuple):
-    base_dim: int
-    order: int
-
-    @property
-    def fiber_dimension(self) -> int:
-        return jet_dimension(self.base_dim, self.order)
-
-
 class JetVector:
     """A finite jet: raw derivative values indexed by multiindices.
 
@@ -114,36 +109,28 @@ class JetVector:
     Treat instances as immutable.
     """
 
-    __slots__ = ("spec", "entries")
+    __slots__ = ("base_dim", "order", "entries")
 
     def __init__(self, base_dim: int, order: int, entries):
-        spec = JetSpec(base_dim, order)
-        dim = spec.fiber_dimension  # checks m and k before any entry
+        dim = jet_dimension(base_dim, order)  # checks m and k before any entry
         values = tuple(Scalar.coerce(v) for v in entries)
         if len(values) != dim:
             raise DimensionMismatch(
                 f"jet of order {order} over R^{base_dim} needs "
                 f"{dim} entries, got {len(values)}"
             )
-        self.spec = spec
+        self.base_dim = base_dim
+        self.order = order
         self.entries = values
 
     @classmethod
     def zeros(cls, base_dim: int, order: int) -> "JetVector":
-        return cls(base_dim, order, [Scalar()] * jet_dimension(base_dim, order))
+        return cls(base_dim, order, [ZERO] * jet_dimension(base_dim, order))
 
     @classmethod
     def from_mapping(cls, base_dim: int, order: int, mapping) -> "JetVector":
         entries = [mapping.get(a, 0) for a in _indices(base_dim, order)]
         return cls(base_dim, order, entries)
-
-    @property
-    def base_dim(self) -> int:
-        return self.spec.base_dim
-
-    @property
-    def order(self) -> int:
-        return self.spec.order
 
     @property
     def is_zero(self) -> bool:
@@ -152,25 +139,24 @@ class JetVector:
     def __getitem__(self, alpha: MultiIndex) -> Scalar:
         return self.entries[_index_of(self.base_dim, self.order)[tuple(alpha)]]
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
+    def _check_same(self, other: "JetVector") -> None:
+        if (self.base_dim, self.order) != (other.base_dim, other.order):
+            raise DimensionMismatch("jet specs differ")
 
     def __eq__(self, other):
         if not isinstance(other, JetVector):
             return NotImplemented
-        return self.spec == other.spec and self.entries == other.entries
+        return (self.base_dim, self.order, self.entries) == (
+            other.base_dim, other.order, other.entries
+        )
 
     def __hash__(self):
-        return hash((self.spec, self.entries))
+        return hash((self.base_dim, self.order, self.entries))
 
     def __add__(self, other):
         if not isinstance(other, JetVector):
             return NotImplemented
-        if self.spec != other.spec:
-            raise DimensionMismatch("jet specs differ")
+        self._check_same(other)
         return JetVector(
             self.base_dim, self.order,
             [a + b for a, b in zip(self.entries, other.entries)],

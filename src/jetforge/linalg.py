@@ -17,7 +17,7 @@ from .scalar import ZERO, Scalar, _from_gaussian, _to_gaussian
 def mat_vec(matrix, vec):
     out = []
     for row in matrix:
-        total = Scalar()
+        total = ZERO
         for a, b in zip(row, vec):
             if a and b:
                 total = total + a * b

@@ -22,8 +22,8 @@ from .algebra import (
     taylor_polynomial,
 )
 from .errors import DimensionMismatch, UnsolvableError
-from .jets import JetVector, MultiIndex, _indices, jet_dimension
-from .scalar import Scalar
+from .jets import JetVector, MultiIndex, _indices, _slot_text, jet_dimension
+from .scalar import ZERO, Scalar
 from .symbols import GeneralSymbol, LinearSymbol, apply_operator, fiber_matrix, prolong
 
 
@@ -195,7 +195,7 @@ def _nonlinear_witness(
     values = {
         key: MultiPoly._trusted(m, terms).evaluate(x0) for key, terms in parts.items()
     }
-    constant = values.pop(None, Scalar())
+    constant = values.pop(None, ZERO)
     chosen = min((j for (j, _), v in values.items() if v), default=None)
     if chosen is None:
         if constant == gx:
@@ -208,9 +208,9 @@ def _nonlinear_witness(
 
     top = max(d for j, d in values if j == chosen)
     equation = [constant - gx]
-    equation += [values.get((chosen, d), Scalar()) for d in range(1, top + 1)]
+    equation += [values.get((chosen, d), ZERO) for d in range(1, top + 1)]
     alpha = gsym.jet_variables()[chosen]
-    label = "y[" + ",".join(str(a) for a in alpha) + "]"
+    label = _slot_text("y", alpha)
 
     # the real roots are those of both parts; a real equation comes back monic
     im = [c.im for c in equation]

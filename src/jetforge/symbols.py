@@ -28,13 +28,14 @@ from .jets import (
     MultiIndex,
     _index_of,
     _indices,
+    _slot_text,
     _tree,
     bump,
     graded_key,
     jet_dimension,
     weight,
 )
-from .scalar import Scalar, _term_text
+from .scalar import ZERO, Scalar, _term_text
 
 
 class LinearSymbol:
@@ -184,7 +185,7 @@ def fiber_matrix(prosym: ProlongedSymbol, x0: RationalPoint):
     values: dict[MultiPoly, Scalar] = {}  # few distinct coefficients recur
     matrix = []
     for beta in _indices(m, prosym.level):
-        row = [Scalar()] * len(cols)
+        row = [ZERO] * len(cols)
         for alpha, coeff in prosym.components[beta].terms.items():
             if coeff not in values:
                 values[coeff] = coeff.evaluate(point)
@@ -294,7 +295,7 @@ def format_operator(sym: LinearSymbol) -> str:
     constant = (0,) * sym.base_dim
     for alpha in sorted(sym.terms, key=graded_key):
         coeff = sym.terms[alpha]
-        slot = "d[" + ",".join(str(a) for a in alpha) + "]"
+        slot = _slot_text("d", alpha)
         # the one zero-exponent term of a constant coefficient, else None
         c = coeff.terms.get(constant) if len(coeff.terms) == 1 else None
         if c is not None:
@@ -314,7 +315,6 @@ def format_general(gsym: GeneralSymbol) -> str:
     def namer(j: int) -> str:
         if j <= m:
             return f"x{j}"
-        alpha = jet_vars[j - m - 1]
-        return "y[" + ",".join(str(a) for a in alpha) + "]"
+        return _slot_text("y", jet_vars[j - m - 1])
 
     return format_poly(gsym.body, namer)

@@ -407,6 +407,29 @@ MUTANTS = (
         "rendering a text report must not raise; no hand-picked test "
         "renders a vanish grid as text",
     ),
+    # one spelling per value
+    Mutant(
+        "slot-text-comma-space",
+        "src/jetforge/jets.py",
+        """{kind}[{','.join(map(str, alpha))}]""",
+        """{kind}[{', '.join(map(str, alpha))}]""",
+        ("tests/test_parser.py::test_format_operator_prints_unit_coefficients_bare",
+         "tests/test_solver.py::test_nonlinear_witness_matches_per_coordinate_oracle",
+         "tests/test_cli.py::test_prolong_text_labels_each_component",
+         "tests/test_cli.py::test_pcp_text_renders_a_gaussian_witness"),
+        "every multiindex label is written by one function, and operator "
+        "text must round-trip and match the witness notes byte for byte",
+    ),
+    Mutant(
+        "jet-shape-base-dim-only",
+        "src/jetforge/jets.py",
+        "        if (self.base_dim, self.order) != (other.base_dim, other.order):\n",
+        "        if self.base_dim != other.base_dim:\n",
+        ("tests/test_jets.py::test_vector_space_operations",
+         "tests/test_algebra.py::test_jet_quotient_requires_equal_specs"),
+        "jets of one base dimension but different orders must not be added "
+        "or divided: zip would silently truncate the longer one",
+    ),
 )
 
 KNOWN_MISSES = (

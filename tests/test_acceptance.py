@@ -13,6 +13,7 @@ import pytest
 
 from jetforge import checks
 from jetforge.algebra import MultiPoly
+from jetforge.errors import UnsolvableError
 
 
 def _criterion(number, title, suite, cases=None):
@@ -101,3 +102,13 @@ def test_solving_suites_report_a_wrong_solution(monkeypatch, suite, cases):
     rng = random.Random(0)
     result = suite(rng) if cases is None else suite(rng, cases)
     assert [f for f in result.failures if "g=1 unexpectedly solvable" not in f]
+
+
+def test_an_unsolvable_instance_is_a_soundness_failure(monkeypatch):
+    def unsolvable(sym, g, points, s):
+        raise UnsolvableError("no solution")
+
+    monkeypatch.setattr(checks, "solve", unsolvable)
+    result = checks.solver_soundness_suite(random.Random(0), 1)
+    assert result.failures
+    assert all(f.startswith("unsolvable: ") for f in result.failures)

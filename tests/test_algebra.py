@@ -64,6 +64,13 @@ def test_zero_pruning():
     assert not MultiPoly.zero(2)
 
 
+def test_a_polynomial_never_equals_a_number():
+    # equal values must hash equal, and a number's hash cannot see num_vars
+    two = MultiPoly.constant(1, 2)
+    assert two != 2 and two != Scalar(2)
+    assert 2 not in {two: 1}
+
+
 def test_ring_identities():
     x = MultiPoly.variable(2, 1)
     y = MultiPoly.variable(2, 2)

@@ -1,10 +1,12 @@
 """The public API: one name per concept, the README quick tour runs as
-written, and every name the benchmark harness in ``perfbench/`` looks up
-still exists.  The harness files are only parsed here, never imported."""
+written, every name the benchmark harness in ``perfbench/`` looks up
+still exists, and the package imports only the standard library.  The
+harness files are only parsed here, never imported."""
 
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import jetforge
@@ -30,6 +32,26 @@ def _perfbench(name: str) -> ast.Module:
     return ast.parse((ROOT / "perfbench" / name).read_text(encoding="utf-8"))
 
 
+def _jf_chain(node) -> tuple | None:
+    """``("A", "b")`` for the expression ``jf.A.b``, ``()`` for ``jf``
+    itself, None for any other."""
+    if isinstance(node, ast.Name):
+        return () if node.id == "jf" else None
+    if isinstance(node, ast.Attribute):
+        head = _jf_chain(node.value)
+        return None if head is None else head + (node.attr,)
+    return None
+
+
+def _resolves(chain) -> bool:
+    value = jetforge
+    for name in chain:
+        if not hasattr(value, name):
+            return False
+        value = getattr(value, name)
+    return True
+
+
 def test_every_name_perfbench_looks_up_exists():
     timed = next(
         ast.literal_eval(node.value)
@@ -43,16 +65,30 @@ def test_every_name_perfbench_looks_up_exists():
         for name in names
         if not hasattr(importlib.import_module(f"jetforge.{layer}"), name)
     ]
-    used = {
-        node.attr
-        for node in ast.walk(_perfbench("verify.py"))
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "jf"
-    }
+    # jf.Name and jf.Name.attr chains alike
+    used = {_jf_chain(node) for node in ast.walk(_perfbench("verify.py"))} - {None, ()}
     missing += [
-        f"jetforge.{name}" for name in sorted(used) if not hasattr(jetforge, name)
+        ".".join(("jetforge", *chain)) for chain in sorted(used) if not _resolves(chain)
     ]
     assert missing == []
     # the tracer counts derivative-cache hits through this
     assert callable(jetforge.symbols._total_derivative_cached.cache_info)
+
+
+def test_the_package_imports_only_the_standard_library():
+    # pyproject.toml declares dependencies = []
+    outside = []
+    for path in sorted((ROOT / "src" / "jetforge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}"
+                for name in modules
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

@@ -243,6 +243,39 @@ def test_solve_text_output(capsys):
     assert "post-check: exact" in out
 
 
+def test_unsolvable_text_names_the_point(capsys, tmp_path):
+    points = tmp_path / "points.txt"
+    points.write_text("0\n")
+    common = ["--op", "x1*d[1]", "--order", "0", "--rhs", "1"]
+    assert run_command(["solve", "--point", "0", *common]) == 1
+    assert run_command(["solve-multi", "--points-file", str(points), *common]) == 1
+    assert capsys.readouterr().out == "unsolvable at point (0)\n" * 2
+
+
+def test_prolong_text_labels_each_component(capsys):
+    assert run_command(["prolong", "--op", "x2*d[1,0]", "--level", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "prolongation level 1:\n"
+        "  beta=[0,0]  x2*d[1,0]\n"
+        "  beta=[1,0]  x2*d[2,0]\n"
+        "  beta=[0,1]  d[1,0] + x2*d[1,1]\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "op, point, rhs, witness",
+    [
+        ("d[1] + 2*d[0]", "0", "1/2 - 3*i", "y[0] = (1/4 - 3/2*i)"),
+        ("d[1] + 2*d[0]", "0", "i", "y[0] = 1/2*i"),
+        ("x2*d[1,0] + d[0,1]", "0,0", "1 + i", "y[0,1] = (1 + i)"),
+    ],
+)
+def test_pcp_text_renders_a_gaussian_witness(capsys, op, point, rhs, witness):
+    argv = ["pcp", "--op", op, "--point", point, "--rhs", rhs]
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out == f"witness: {witness}\n"
+
+
 def test_long_inline_operator_is_parsed_not_statted(capsys):
     op = " + ".join(f"{k}*x1^{k}*d[1]" for k in range(1, 40))
     assert len(op) >= 300
@@ -459,6 +492,17 @@ def test_vanish_text_for_a_zero_operator(capsys, tmp_path):
     path.write_text("dim 2 order 1\n0\n")
     assert run_command(["vanish", "--op", str(path), "--point", "0,1"]) == 0
     assert capsys.readouterr().out == "point (0, 1): identically zero\n"
+
+
+def test_symbol_text_for_an_operator_that_cancels(capsys, tmp_path):
+    path = tmp_path / "zero.pdo"
+    path.write_text("dim 2 order 1\nd[1,0] - d[1,0]\n")
+    assert run_command(["symbol", "--op", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "dimension: 2   order: 1\n"
+        "total symbol:     0\n"
+        "principal symbol: 0\n"
+    )
 
 
 @pytest.mark.parametrize(

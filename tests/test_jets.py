@@ -4,7 +4,6 @@ import pytest
 
 from jetforge.errors import DimensionMismatch, OrderTooHigh
 from jetforge.jets import (
-    JetSpec,
     JetVector,
     _tree,
     bump,
@@ -41,6 +40,7 @@ def test_jet_dimension_values():
     assert jet_dimension(3, 1) == 4
     assert jet_dimension(5, 0) == 1
     assert jet_dimension(1, 7) == 8
+    assert jet_dimension(2, 2) == 6
 
 
 def test_jet_dimension_validation():
@@ -48,10 +48,6 @@ def test_jet_dimension_validation():
         jet_dimension(0, 1)
     with pytest.raises(ValueError):
         jet_dimension(1, -1)
-
-
-def test_jet_spec_fiber_dimension():
-    assert JetSpec(2, 2).fiber_dimension == 6
 
 
 def test_jetvector_entry_count_enforced():
@@ -104,6 +100,11 @@ def test_vector_space_operations():
         a + JetVector.zeros(1, 2)
     with pytest.raises(DimensionMismatch):
         a - JetVector.zeros(1, 2)
+    # three entries each, but different shapes
+    line, plane = JetVector(1, 2, [1, 2, 3]), JetVector(2, 1, [1, 2, 3])
+    assert line != plane
+    with pytest.raises(DimensionMismatch):
+        line + plane
 
 
 def test_json_round_trip():

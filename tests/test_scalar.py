@@ -24,6 +24,11 @@ def test_construction_and_equality():
     assert Scalar(1, 0) == Scalar(1)
 
 
+def test_floats_are_refused():
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as an exact rational"):
+        Scalar(0.5)
+
+
 def test_lowest_terms_storage():
     s = Scalar(Fraction(2, 4), Fraction(-3, -6))
     assert s.re.numerator == 1 and s.re.denominator == 2

@@ -100,6 +100,10 @@ def test_zero_coefficients_pruned():
     assert sym.is_zero
 
 
+def test_number_coefficients_become_constant_polynomials():
+    assert str(LinearSymbol(1, 1, {(1,): 3})) == "3*d[1]"
+
+
 def test_term_weight_capped_by_order():
     with pytest.raises(DimensionMismatch):
         LinearSymbol(1, 1, {(2,): MultiPoly.constant(1, 1)})
