@@ -3,7 +3,10 @@
 Solving P(f) = g to order s at a point means finding an (r+s)-jet that the
 prolonged symbol maps onto the s-jet of g; realizing that jet as its Taylor
 polynomial then gives an honest polynomial solution.  Gluing at several
-points goes through exact jet interpolation.
+points goes through exact jet interpolation.  A pointwise covering
+witness is found by one freeze for linear and nonlinear symbols alike: a
+frozen equation of degree 1 is solved exactly in Q(i), a higher degree
+over the rationals.
 """
 
 from __future__ import annotations
@@ -156,28 +159,7 @@ def membership_I(
     return lift_jet(sym, x0, taylor_jet(g, x0, s)).solved
 
 
-def _linear_witness(
-    sym: LinearSymbol, g: MultiPoly, x0: RationalPoint
-) -> PCPWitness:
-    gx = g.evaluate(x0)
-    for alpha in _indices(sym.base_dim, sym.order):
-        coeff = sym.terms.get(alpha)
-        if coeff is None:
-            continue
-        value = coeff.evaluate(x0)
-        if value:
-            jet = JetVector.from_mapping(
-                sym.base_dim, sym.order, {alpha: gx / value}
-            )
-            return PCPWitness(jet)
-    if not gx:
-        return PCPWitness(JetVector.zeros(sym.base_dim, sym.order))
-    return PCPWitness(
-        None, "every coefficient vanishes at the point but g does not"
-    )
-
-
-def _nonlinear_witness(
+def _witness(
     gsym: GeneralSymbol, g: MultiPoly, x0: RationalPoint
 ) -> PCPWitness:
     gx = g.evaluate(x0)
@@ -206,10 +188,14 @@ def _nonlinear_witness(
             "and misses the target value",
         )
 
-    top = max(d for j, d in values if j == chosen)
+    top = max(d for (j, d), v in values.items() if j == chosen and v)
     equation = [constant - gx]
     equation += [values.get((chosen, d), ZERO) for d in range(1, top + 1)]
     alpha = gsym.jet_variables()[chosen]
+    if top == 1:
+        # the one root is exact in Q(i)
+        root = -equation[0] / equation[1]
+        return PCPWitness(JetVector.from_mapping(m, gsym.order, {alpha: root}))
     label = _slot_text("y", alpha)
 
     # the real roots are those of both parts; a real equation comes back monic
@@ -236,17 +222,18 @@ def _nonlinear_witness(
 def pcp_check(sym, g: MultiPoly, x0: RationalPoint) -> PCPWitness:
     """Search for a jet fiber point p with symbol(p) = g(x0).
 
-    Linear symbols get the constructive witness along the first
-    graded-lex coordinate with a nonvanishing coefficient.  Nonlinear
-    symbols are reduced to one jet coordinate at a time and solved over
-    the rationals; a miss is reported with the count of isolated real
-    roots, and is only a proof of emptiness when the reduction covers
-    the symbol's whole jet dependence.
+    A linear symbol is solved as the symbol of degree 1 it is.  All jet
+    coordinates but the first graded-lex one on which the symbol depends
+    at x0 are pinned to zero.  If the equation left has degree 1 at x0,
+    its one root is the witness, exact in Q(i).  A higher degree is
+    solved over the rationals; a miss is reported with the count of
+    isolated real roots, and is only a proof of emptiness when the
+    reduction covers the symbol's whole jet dependence.
     """
     if not isinstance(sym, (LinearSymbol, GeneralSymbol)):
         raise TypeError(f"expected a symbol, got {type(sym).__name__}")
     _check_rhs(sym, g)
     x0 = _point(x0, sym.base_dim)
     if isinstance(sym, LinearSymbol):
-        return _linear_witness(sym, g, x0)
-    return _nonlinear_witness(sym, g, x0)
+        sym = GeneralSymbol.from_linear(sym)
+    return _witness(sym, g, x0)

@@ -239,7 +239,8 @@ MUTANTS = (
         '    if c == -1:\n        return "-" + mono\n',
         "",
         ("tests/test_scalar.py::test_text_forms",
-         "tests/test_parser.py::test_format_operator_prints_unit_coefficients_bare"),
+         "tests/test_parser.py::test_format_operator_prints_unit_coefficients_bare",
+         "tests/test_byte_identity.py::test_digested_rounds_match_their_pin"),
         "a coefficient -1 prints as a bare minus, in Scalars, polynomials and operators",
     ),
     # one Gaussian integer over one denominator
@@ -429,6 +430,25 @@ MUTANTS = (
          "tests/test_algebra.py::test_jet_quotient_requires_equal_specs"),
         "jets of one base dimension but different orders must not be added "
         "or divided: zip would silently truncate the longer one",
+    ),
+    # one pcp path
+    Mutant(
+        "degree-one-root-unsigned",
+        "src/jetforge/solver.py",
+        "root = -equation[0] / equation[1]",
+        "root = equation[0] / equation[1]",
+        ("tests/test_solver.py::test_linear_witness_lewy",
+         "tests/test_cli.py::test_pcp_text_renders_a_gaussian_witness"),
+        "the one root of e0 + e1*y is -e0/e1, for linear symbols as for any other",
+    ),
+    Mutant(
+        "top-counts-vanishing-powers",
+        "src/jetforge/solver.py",
+        "if j == chosen and v)",
+        "if j == chosen)",
+        ("tests/test_cli.py::test_pcp_text_renders_a_gaussian_witness",),
+        "a power whose coefficient vanishes at the point does not raise the "
+        "degree: x1*y^2 + i*y is of degree 1 at x1 = 0",
     ),
 )
 

@@ -4,9 +4,14 @@
 and multiplies each monomial out from its coefficient;
 ``_freeze_univariate`` walks the whole symbol body once per jet
 coordinate, pinning x to the point and the other jet coordinates to zero;
-``_nonlinear_witness`` tries the coordinates in order and falls back on
-``eval_scalars`` for the constant.  The one-pass grouping in
-``jetforge.solver`` must return equal witnesses, and
+``_nonlinear_witness`` tries the coordinates in order, solves an equation
+of degree 1 at the point by its one root and a higher one over the
+rationals, and falls back on ``eval_scalars`` for the constant;
+``_linear_witness`` divides g(x0) by the first graded-lex coefficient
+that does not vanish at the point, the constructive route linear symbols
+took before they were frozen like any other.  The one-pass grouping in
+``jetforge.solver`` must return equal witnesses (equal jets for a linear
+symbol: only the no-witness note differs), and
 ``jetforge.symbols.evaluate_general`` equal values.
 """
 
@@ -17,10 +22,10 @@ from fractions import Fraction
 from jetforge import roots
 from jetforge.algebra import MultiPoly, RationalPoint, rational_point
 from jetforge.errors import DimensionMismatch
-from jetforge.jets import JetVector
+from jetforge.jets import JetVector, _indices
 from jetforge.scalar import Scalar
 from jetforge.solver import PCPWitness
-from jetforge.symbols import GeneralSymbol
+from jetforge.symbols import GeneralSymbol, LinearSymbol
 
 
 def eval_scalars(self: MultiPoly, values) -> Scalar:
@@ -90,6 +95,9 @@ def _nonlinear_witness(
     equation = list(univariate)
     equation[0] = equation[0] - gx
     alpha = jet_vars[chosen]
+    if max(d for d, c in enumerate(equation) if c) == 1:
+        root = -equation[0] / equation[1]
+        return PCPWitness(JetVector.from_mapping(m, gsym.order, {alpha: root}))
     label = "y[" + ",".join(str(a) for a in alpha) + "]"
 
     if all(c.is_real for c in equation):
@@ -121,3 +129,24 @@ def _nonlinear_witness(
     if exhaustive and count == 0:
         note += "; the reduction is exhaustive, so no real witness exists"
     return PCPWitness(None, note)
+
+
+def _linear_witness(
+    sym: LinearSymbol, g: MultiPoly, x0: RationalPoint
+) -> PCPWitness:
+    gx = g.evaluate(x0)
+    for alpha in _indices(sym.base_dim, sym.order):
+        coeff = sym.terms.get(alpha)
+        if coeff is None:
+            continue
+        value = coeff.evaluate(x0)
+        if value:
+            jet = JetVector.from_mapping(
+                sym.base_dim, sym.order, {alpha: gx / value}
+            )
+            return PCPWitness(jet)
+    if not gx:
+        return PCPWitness(JetVector.zeros(sym.base_dim, sym.order))
+    return PCPWitness(
+        None, "every coefficient vanishes at the point but g does not"
+    )

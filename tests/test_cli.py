@@ -9,6 +9,7 @@ import pytest
 
 import jetforge
 from jetforge import cli
+from jetforge.checks import SuiteResult
 from jetforge.cli import run_command
 
 LEWY_PDO = """\
@@ -268,6 +269,13 @@ def test_prolong_text_labels_each_component(capsys):
         ("d[1] + 2*d[0]", "0", "1/2 - 3*i", "y[0] = (1/4 - 3/2*i)"),
         ("d[1] + 2*d[0]", "0", "i", "y[0] = 1/2*i"),
         ("x2*d[1,0] + d[0,1]", "0,0", "1 + i", "y[0,1] = (1 + i)"),
+        # an operator and its symbol in jet coordinates get one answer, and
+        # a freeze of degree 1 at the point is solved in Q(i), whatever its
+        # degree elsewhere and whatever terms pinning to zero removes
+        ("2*i*d[1]", "0", "1", "y[1] = -1/2*i"),
+        ("2*i*y[1]", "0", "1", "y[1] = -1/2*i"),
+        ("x1*y[1]^2 + i*y[1]", "0", "1", "y[1] = -i"),
+        ("(1 + i)*y[1] + y[0]*y[1]", "1", "2", "y[1] = (1 - i)"),
     ],
 )
 def test_pcp_text_renders_a_gaussian_witness(capsys, op, point, rhs, witness):
@@ -485,6 +493,16 @@ def test_check_text_output_ends_with_its_verdict(capsys):
     assert run_command(["check", "--quick", "--seed", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 10 and lines[-1] == "all passed"
+
+
+def test_check_text_output_names_a_failing_suite(capsys, monkeypatch):
+    failing = SuiteResult("jet interpolation", cases=2, failures=["jets differ"])
+    monkeypatch.setattr(cli, "run_all", lambda seed, scale: [failing])
+    assert run_command(["check", "--seed", "0"]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL jet interpolation: 1/2 cases (first failure: jets differ)\n"
+        "FAILURES above\n"
+    )
 
 
 def test_vanish_text_for_a_zero_operator(capsys, tmp_path):

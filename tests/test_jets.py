@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -87,6 +88,17 @@ def test_indexing_by_multiindex():
     assert jet[(0, 0)] == 0
     assert jet[(1, 0)] == 3
     assert jet[(0, 1)] == Scalar(0, 1)
+
+
+def test_equal_jets_hash_equal_whatever_their_entry_types():
+    jets = [
+        JetVector(1, 1, [1, 0]),
+        JetVector(1, 1, [Fraction(1), Fraction(0)]),
+        JetVector(1, 1, [Scalar(1), Scalar()]),
+    ]
+    assert len({hash(j) for j in jets}) == 1
+    table = {jets[0]: "found"}
+    assert [table.get(j) for j in jets] == ["found"] * 3
 
 
 def test_vector_space_operations():

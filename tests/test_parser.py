@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import parser_oracle
 
 from jetforge.algebra import MultiPoly, format_poly
+from jetforge.cli import run_command
 from jetforge.errors import ParseError
 from jetforge.jets import enumerate_multiindices
 from jetforge.parser import (
@@ -102,6 +103,17 @@ def test_parse_error_has_location():
         parse_operator("d[1,0] + @")
     assert err.value.line == 1
     assert err.value.column == 10
+
+
+def test_trailing_input_after_a_whole_expression_is_refused(capsys):
+    with pytest.raises(ParseError) as err:
+        parse_operator("d[1] d[1]")
+    assert str(err.value) == "1:6: unexpected trailing input 'd'"
+    assert err.value.expected == ("eof",)
+    assert run_command(["symbol", "--op", "d[1] d[1]"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: 1:6: unexpected trailing input 'd'\n"
+    )
 
 
 def test_operator_terms_must_carry_d():

@@ -500,7 +500,48 @@ def general_cases(draw):
 @given(general_cases())
 def test_nonlinear_witness_matches_per_coordinate_oracle(case):
     gsym, x0, g = case
-    assert pcp_check(gsym, g, x0) == pcp_oracle._nonlinear_witness(gsym, g, x0)
+    witness = pcp_check(gsym, g, x0)
+    assert witness == pcp_oracle._nonlinear_witness(gsym, g, x0)
+    if witness.found:
+        assert evaluate_general(gsym, x0, witness.jet) == g.evaluate(x0)
+
+
+@st.composite
+def linear_cases(draw):
+    """A linear symbol over m = 1..3 and r = 0..2 with Gaussian
+    coefficients, some of which vanish at the point, declared up to one
+    order above its top weight, with a point and a right-hand side."""
+    m = draw(st.integers(1, 3))
+    r = draw(st.integers(0, 2))
+    x0 = tuple(draw(_values) for _ in range(m))
+    vanishing = MultiPoly.variable(m, 1) - x0[0]
+    terms = {}
+    alphas = st.sampled_from(enumerate_multiindices(m, r))
+    for alpha in draw(st.lists(alphas, max_size=4, unique=True)):
+        xs = tuple(draw(st.integers(0, 2)) for _ in range(m))
+        coeff = MultiPoly(m, {xs: draw(_coefficients)})
+        terms[alpha] = coeff * vanishing if draw(st.booleans()) else coeff
+    sym = LinearSymbol(m, r + draw(st.integers(0, 1)), terms)
+    g = MultiPoly(m, {
+        tuple(draw(st.integers(0, 2)) for _ in range(m)): draw(_coefficients)
+        for _ in range(draw(st.integers(0, 2)))
+    })
+    return sym, x0, g
+
+
+@settings(max_examples=300)
+@given(linear_cases())
+def test_linear_witness_matches_the_constructive_oracle(case):
+    # a linear symbol is frozen like any other and gets the jet of the
+    # constructive route it replaced; only the no-witness note is the freeze's
+    sym, x0, g = case
+    witness = pcp_check(sym, g, x0)
+    assert witness.jet == pcp_oracle._linear_witness(sym, g, x0).jet
+    if not witness.found:
+        assert witness.note == (
+            "freeze-and-solve: every single-coordinate freeze is constant "
+            "and misses the target value"
+        )
 
 
 @settings(max_examples=200)

@@ -376,6 +376,13 @@ def test_evaluate_general_zero_jet():
     assert evaluate_general(square, (Fraction(3),), JetVector.zeros(1, 1)) == 0
 
 
+def test_equal_general_symbols_hash_equal():
+    square = GeneralSymbol(1, 1, MultiPoly(3, {(0, 0, 2): 1}))
+    same = GeneralSymbol(1, 1, MultiPoly(3, {(0, 0, 2): Scalar(1)}))
+    assert square == same and hash(square) == hash(same)
+    assert {square: "found"}.get(same) == "found"
+
+
 def test_evaluate_general_spec_mismatch():
     square = GeneralSymbol(1, 1, MultiPoly(3, {(0, 0, 2): 1}))
     with pytest.raises(DimensionMismatch):
