@@ -15,7 +15,8 @@ from itertools import count, product
 from operator import add, mul
 
 from .errors import DimensionMismatch, DuplicatePoints, NotAUnit
-from .jets import JetVector, MultiIndex, _indices, factorial, graded_key, weight
+from .jets import (JetVector, MultiIndex, _indices, _multiindex, factorial,
+                   graded_key, weight)
 from .scalar import (ONE, ZERO, Scalar, _from_gaussian, _term_text,
                      _to_gaussian, as_fraction, power)
 
@@ -65,11 +66,7 @@ class MultiPoly:
             raise ValueError("polynomials need at least one variable")
         clean: dict[MultiIndex, Scalar] = {}
         for alpha, coeff in (terms or {}).items():
-            alpha = tuple(alpha)
-            if len(alpha) != num_vars or min(alpha) < 0:
-                raise DimensionMismatch(
-                    f"exponent {alpha} invalid for {num_vars} variables"
-                )
+            alpha = _multiindex(alpha, num_vars)
             c = Scalar.coerce(coeff)
             if c:
                 clean[alpha] = c
@@ -234,12 +231,8 @@ class MultiPoly:
 
 def derivative(p: MultiPoly, alpha: MultiIndex) -> MultiPoly:
     """Iterated partial derivative D^alpha p."""
-    if len(alpha) != p.num_vars:
-        raise DimensionMismatch(
-            f"multiindex of length {len(alpha)} for {p.num_vars} variables"
-        )
     out = p
-    for i, e in enumerate(alpha, start=1):
+    for i, e in enumerate(_multiindex(alpha, p.num_vars), start=1):
         for _ in range(e):
             if not out:
                 return out
@@ -291,7 +284,7 @@ def _recentred(p: MultiPoly, x0: RationalPoint, k: int) -> dict[MultiIndex, Scal
 
 def shift(p: MultiPoly, x0: RationalPoint) -> MultiPoly:
     """Recentre: returns q with q(u) = p(u + x0)."""
-    return MultiPoly(p.num_vars, _recentred(p, x0, max(p.degree, 0)))
+    return MultiPoly._trusted(p.num_vars, _recentred(p, x0, max(p.degree, 0)))
 
 
 def taylor_jet(p: MultiPoly, x0: RationalPoint, k: int) -> JetVector:
@@ -323,7 +316,7 @@ def jet_quotient(num: JetVector, den: JetVector) -> JetVector:
     weight by weight in graded-lex order, so every q_b it uses is known
     (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).
     """
-    num._check_same(den)
+    den._check_shape(num.base_dim, num.order)
     g = {b: gb for b, gb in _centred(den).items() if gb}
     g0 = g.pop((0,) * den.base_dim, None)
     if g0 is None:
@@ -376,10 +369,7 @@ def hermite_interpolate(points, jets) -> MultiPoly:
             raise DimensionMismatch("interpolation points have mixed dimensions")
     k = jets[0].order
     for jet in jets:
-        if jet.base_dim != m or jet.order != k:
-            raise DimensionMismatch(
-                f"jets must have dimension {m} and order {k}"
-            )
+        jet._check_shape(m, k)
 
     weights = _separating_form(points)
     form = MultiPoly(m, dict(zip(_indices(m, 1)[1:], weights)))

@@ -81,27 +81,25 @@ def _render(report: dict, args) -> None:
     if args.output == "json":
         print(json.dumps(report, indent=2))
         return
-    for line in _text_lines(report):
+    for line in _text_lines(report, args.command):
         print(line)
 
 
-def _text_lines(report: dict) -> list[str]:
-    kind = report.get("kind")
-    if kind == "symbol":
+def _text_lines(report: dict, command: str) -> list[str]:
+    if command == "symbol":
         return [
             f"dimension: {report['dim']}   order: {report['order']}",
             f"total symbol:     {report['total']}",
             f"principal symbol: {report['principal']}",
         ]
-    if kind == "prolong":
+    if command == "prolong":
         lines = [f"prolongation level {report['level']}:"]
         for comp in report["components"]:
             lines.append(f"  {_slot_text('beta=', comp['beta'])}  {comp['symbol']}")
         return lines
-    if kind == "vanish" or (kind is None and "order" in report):
-        reports = report["reports"] if kind == "vanish" else [report]
+    if command == "vanish":
         lines = []
-        for rep in reports:
+        for rep in report.get("reports", [report]):
             order = rep["order"]
             if isinstance(order, dict):
                 desc = f"vanishes to order exactly {order['exactly']}"
@@ -111,13 +109,13 @@ def _text_lines(report: dict) -> list[str]:
                 desc = "identically zero"
             lines.append(f"point ({', '.join(rep['point'])}): {desc}")
         return lines
-    if kind == "rank":
+    if command == "rank":
         verdict = "full" if report["full"] else "not full"
         return [
             f"rank {report['rank']} of {report['fiber_dimension']} at level "
             f"{report['level']}: {verdict}"
         ]
-    if kind in ("solve", "solve-multi"):
+    if command in ("solve", "solve-multi"):
         if report["status"] == "unsolvable":
             return [f"unsolvable at point ({', '.join(report['point'])})"]
         where = f" at {len(report['points'])} points" if "points" in report else ""
@@ -125,7 +123,7 @@ def _text_lines(report: dict) -> list[str]:
             f"solution: {report['polynomial']}",
             f"post-check: {report['post_check']}{where}",
         ]
-    if kind == "pcp":
+    if command == "pcp":
         if report["status"] == "witness":
             entries = [
                 f"{_slot_text('y', e['alpha'])} = {Scalar(e['re'], e['im'])}"
@@ -134,7 +132,7 @@ def _text_lines(report: dict) -> list[str]:
             ]
             return ["witness: " + ("; ".join(entries) if entries else "zero jet")]
         return [f"no witness: {report['note']}"]
-    if kind == "check":
+    if command == "check":
         lines = [s["summary"] for s in report["suites"]]
         lines.append("all passed" if report["all_passed"] else "FAILURES above")
         return lines

@@ -46,6 +46,14 @@ def factorial(alpha: MultiIndex) -> int:
     return out
 
 
+def _multiindex(alpha, m: int) -> MultiIndex:
+    """alpha as a tuple, after checking it has m nonnegative entries."""
+    alpha = tuple(alpha)
+    if len(alpha) != m or min(alpha) < 0:
+        raise DimensionMismatch(f"multiindex {alpha} invalid for dimension {m}")
+    return alpha
+
+
 def _check_mk(m: int, k: int) -> None:
     if m < 1:
         raise ValueError(f"base dimension must be >= 1, got {m}")
@@ -129,8 +137,16 @@ class JetVector:
 
     @classmethod
     def from_mapping(cls, base_dim: int, order: int, mapping) -> "JetVector":
-        entries = [mapping.get(a, 0) for a in _indices(base_dim, order)]
-        return cls(base_dim, order, entries)
+        """Entries by multiindex, zero where absent; every key must index the jet."""
+        _check_mk(base_dim, order)
+        index = _index_of(base_dim, order)
+        for alpha in mapping:
+            if alpha not in index:
+                alpha = _multiindex(alpha, base_dim)
+                raise DimensionMismatch(
+                    f"multiindex {alpha} outside the jet of order {order}"
+                )
+        return cls(base_dim, order, [mapping.get(a, 0) for a in index])
 
     @property
     def is_zero(self) -> bool:
@@ -139,9 +155,10 @@ class JetVector:
     def __getitem__(self, alpha: MultiIndex) -> Scalar:
         return self.entries[_index_of(self.base_dim, self.order)[tuple(alpha)]]
 
-    def _check_same(self, other: "JetVector") -> None:
-        if (self.base_dim, self.order) != (other.base_dim, other.order):
-            raise DimensionMismatch("jet specs differ")
+    def _check_shape(self, m: int, k: int) -> None:
+        shape = (self.base_dim, self.order)
+        if shape != (m, k):
+            raise DimensionMismatch(f"jet of shape {shape}, expected {(m, k)}")
 
     def __eq__(self, other):
         if not isinstance(other, JetVector):
@@ -156,7 +173,7 @@ class JetVector:
     def __add__(self, other):
         if not isinstance(other, JetVector):
             return NotImplemented
-        self._check_same(other)
+        other._check_shape(self.base_dim, self.order)
         return JetVector(
             self.base_dim, self.order,
             [a + b for a, b in zip(self.entries, other.entries)],

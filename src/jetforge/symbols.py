@@ -26,8 +26,10 @@ from .errors import BadDirection, DimensionMismatch
 from .jets import (
     JetVector,
     MultiIndex,
+    _check_mk,
     _index_of,
     _indices,
+    _multiindex,
     _slot_text,
     _tree,
     bump,
@@ -49,17 +51,10 @@ class LinearSymbol:
     __slots__ = ("base_dim", "order", "terms", "_hash")
 
     def __init__(self, base_dim: int, order: int, terms=None):
-        if base_dim < 1:
-            raise ValueError("base dimension must be >= 1")
-        if order < 0:
-            raise ValueError("operator order must be >= 0")
+        _check_mk(base_dim, order)
         clean: dict[MultiIndex, MultiPoly] = {}
         for alpha, coeff in (terms or {}).items():
-            alpha = tuple(alpha)
-            if len(alpha) != base_dim:
-                raise DimensionMismatch(
-                    f"term index {alpha} has length {len(alpha)}, expected {base_dim}"
-                )
+            alpha = _multiindex(alpha, base_dim)
             if weight(alpha) > order:
                 raise DimensionMismatch(
                     f"term index {alpha} exceeds declared order {order}"
@@ -263,11 +258,7 @@ class GeneralSymbol:
 def evaluate_general(gsym: GeneralSymbol, x0: RationalPoint, p: JetVector) -> Scalar:
     """Exact value of the symbol at a base point and a jet fiber point."""
     point = _point(x0, gsym.base_dim)
-    if p.base_dim != gsym.base_dim or p.order != gsym.order:
-        raise DimensionMismatch(
-            f"jet of shape ({p.base_dim}, {p.order}) for a symbol of shape "
-            f"({gsym.base_dim}, {gsym.order})"
-        )
+    p._check_shape(gsym.base_dim, gsym.order)
     return gsym.body.evaluate(point + p.entries)
 
 

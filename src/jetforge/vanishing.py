@@ -42,11 +42,10 @@ def vanishing_order(sym: LinearSymbol, x0: RationalPoint) -> VanishingReport:
     at x0 equals the order of its first nonvanishing derivative there, so
     the classification is exact and always terminates.
     """
-    coords = _point(x0, sym.base_dim)
-    point = tuple(x0)
+    point = _point(x0, sym.base_dim)
     if sym.is_zero:
         return VanishingReport(point, IDENTICALLY_ZERO)
-    low = min(shift(coeff, coords).min_degree for coeff in sym.terms.values())
+    low = min(shift(coeff, point).min_degree for coeff in sym.terms.values())
     if low == 0:
         return VanishingReport(point, NOT_VANISHING)
     return VanishingReport(point, EXACTLY, low - 1)

@@ -402,8 +402,8 @@ MUTANTS = (
     Mutant(
         "vanish-grid-text-raises",
         "src/jetforge/cli.py",
-        'reports = report["reports"] if kind',
-        'reports = report["report"] if kind',
+        'report.get("reports", [report])',
+        'report.get("report", [report])',
         ("tests/test_generated_requests.py::test_generated_requests_exit_0_1_or_2",),
         "rendering a text report must not raise; no hand-picked test "
         "renders a vanish grid as text",
@@ -424,8 +424,8 @@ MUTANTS = (
     Mutant(
         "jet-shape-base-dim-only",
         "src/jetforge/jets.py",
-        "        if (self.base_dim, self.order) != (other.base_dim, other.order):\n",
-        "        if self.base_dim != other.base_dim:\n",
+        "        if shape != (m, k):\n",
+        "        if shape[0] != m:\n",
         ("tests/test_jets.py::test_vector_space_operations",
          "tests/test_algebra.py::test_jet_quotient_requires_equal_specs"),
         "jets of one base dimension but different orders must not be added "
@@ -449,6 +449,26 @@ MUTANTS = (
         ("tests/test_cli.py::test_pcp_text_renders_a_gaussian_witness",),
         "a power whose coefficient vanishes at the point does not raise the "
         "degree: x1*y^2 + i*y is of degree 1 at x1 = 0",
+    ),
+    # one check per index rule
+    Mutant(
+        "multiindex-sign-unchecked",
+        "src/jetforge/jets.py",
+        "    if len(alpha) != m or min(alpha) < 0:\n",
+        "    if len(alpha) != m:\n",
+        ("tests/test_algebra.py::test_malformed_multiindex_has_one_message",),
+        "a negative index is no multiindex: D^(-1,0) must not act as the "
+        "identity, nor a d[-1] term reach the fiber matrix as a bare KeyError",
+    ),
+    Mutant(
+        "from-mapping-keeps-stray-keys",
+        "src/jetforge/jets.py",
+        "            if alpha not in index:\n",
+        "            if False:\n",
+        ("tests/test_jets.py::test_from_mapping_refuses_keys_outside_the_jet",
+         "tests/test_algebra.py::test_malformed_multiindex_has_one_message"),
+        "an entry the jet has no slot for must be refused, not silently "
+        "dropped into a zero jet",
     ),
 )
 

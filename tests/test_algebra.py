@@ -514,15 +514,62 @@ def test_point_of_wrong_length_has_one_message(call):
     assert str(info.value) == "point of length 1 for dimension 2"
 
 
+# -- one multiindex check and one jet-shape check ---------------------------
+
+@pytest.mark.parametrize(
+    "call, alpha, m",
+    [
+        (lambda: MultiPoly(2, {(1, 0, 0): 1}), (1, 0, 0), 2),
+        (lambda: MultiPoly(2, {(1, -1): 1}), (1, -1), 2),
+        (lambda: MultiPoly(2, {(0, -1): 0}), (0, -1), 2),
+        (lambda: MultiPoly.monomial(2, [2, 0, 1]), (2, 0, 1), 2),
+        (lambda: LinearSymbol(1, 1, {(-1,): 1}), (-1,), 1),
+        (lambda: derivative(_P2, (-1, 0)), (-1, 0), 2),
+        (lambda: derivative(_P2, (1,)), (1,), 2),
+        (lambda: JetVector.from_mapping(2, 1, {(1,): 7}), (1,), 2),
+        (lambda: JetVector.from_mapping(1, 2, {(0,): 1, (-1,): 7}), (-1,), 1),
+    ],
+    ids=[
+        "poly-length", "poly-negative", "poly-negative-zero-coefficient",
+        "monomial-length", "linear-symbol-negative", "derivative-negative",
+        "derivative-length", "from-mapping-length", "from-mapping-negative",
+    ],
+)
+def test_malformed_multiindex_has_one_message(call, alpha, m):
+    with pytest.raises(DimensionMismatch) as info:
+        call()
+    assert str(info.value) == f"multiindex {alpha} invalid for dimension {m}"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda jet: JetVector.zeros(2, 1) + jet,
+        lambda jet: JetVector.zeros(2, 1) - jet,
+        lambda jet: jet_quotient(JetVector.zeros(2, 1), jet),
+        lambda jet: evaluate_general(GeneralSymbol.from_linear(_SYM2), (0, 0), jet),
+        lambda jet: hermite_interpolate(
+            [(0, 0), (1, 0)], [JetVector.zeros(2, 1), jet]
+        ),
+    ],
+    ids=["add", "sub", "jet_quotient", "evaluate_general", "hermite_interpolate"],
+)
+def test_jet_of_wrong_shape_has_one_message(call):
+    # three entries like a (2, 1) jet, but the shape of a 2-jet on a line
+    with pytest.raises(DimensionMismatch) as info:
+        call(JetVector(1, 2, [1, 2, 3]))
+    assert str(info.value) == "jet of shape (1, 2), expected (2, 1)"
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
         (lambda: distinct_points([]), ValueError, "need at least one point"),
         (lambda: MultiPoly(0), ValueError, "polynomials need at least one variable"),
         (lambda: MultiPoly(2, {(1,): 1}), DimensionMismatch,
-         "exponent (1,) invalid for 2 variables"),
+         "multiindex (1,) invalid for dimension 2"),
         (lambda: MultiPoly(1, {(-1,): 1}), DimensionMismatch,
-         "exponent (-1,) invalid for 1 variables"),
+         "multiindex (-1,) invalid for dimension 1"),
         (lambda: MultiPoly.variable(2, 3), DimensionMismatch,
          "variable index 3 outside 1..2"),
         (lambda: _P2.partial(3), DimensionMismatch, "variable index 3 outside 1..2"),

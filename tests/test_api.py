@@ -1,15 +1,18 @@
-"""The public API: one name per concept, the README quick tour runs as
-written, every name the benchmark harness in ``perfbench/`` looks up
-still exists, and the package imports only the standard library.  The
-harness files are only parsed here, never imported."""
+"""The public API: one name per concept, the README quick tour and CLI
+session run as written, every name the benchmark harness in
+``perfbench/`` looks up still exists, and the package imports only the
+standard library.  The harness files are only parsed here, never
+imported."""
 
 import ast
 import importlib
 import re
+import shlex
 import sys
 from pathlib import Path
 
 import jetforge
+from jetforge.cli import run_command
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,6 +29,24 @@ def test_readme_quick_tour_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     tour = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
     exec(compile(tour, "README.md", "exec"), {})
+
+
+def test_readme_cli_session_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    session = re.search(r"Example session:\n\n```sh\n(.*?)```", readme, re.DOTALL)
+    lewy = re.search(r"^(d\[1,0,0\].*?)\s+# the Lewy operator$", readme, re.M)
+    (tmp_path / "lewy.pdo").write_text(
+        f"dim 3 order 1\n{lewy.group(1)}\n", encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    runs = re.split(r"^\$ jetforge ", session.group(1), flags=re.M)[1:]
+    assert len(runs) == 3
+    for run in runs:
+        command, _, shown = run.strip("\n").partition("\n")
+        note = re.fullmatch(r"(.*?)(?:\s+# exit code (\d+))?", shown, re.S)
+        shown, code = note.groups()
+        assert run_command(shlex.split(command)) == int(code or 0), command
+        assert capsys.readouterr().out == shown + "\n", command
 
 
 def _perfbench(name: str) -> ast.Module:

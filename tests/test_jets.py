@@ -130,6 +130,16 @@ def test_json_round_trip():
     assert JetVector.from_json_dict(data) == jet
 
 
+def test_from_mapping_refuses_keys_outside_the_jet():
+    with pytest.raises(DimensionMismatch) as info:
+        JetVector.from_mapping(1, 1, {(5,): 7, (1,): 2})
+    assert str(info.value) == "multiindex (5,) outside the jet of order 1"
+    # the shape is checked before any key is looked up
+    with pytest.raises(ValueError) as info:
+        JetVector.from_mapping(0, 1, {})
+    assert str(info.value) == "base dimension must be >= 1, got 0"
+
+
 def test_tree_walk_visits_each_index_once_after_its_parent():
     for m in (1, 2, 3):
         for k in (0, 1, 2, 3, 4):

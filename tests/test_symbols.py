@@ -28,10 +28,10 @@ ORIGIN3 = (Fraction(0),) * 3
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: LinearSymbol(0, 1), ValueError, "base dimension must be >= 1"),
-        (lambda: LinearSymbol(1, -1), ValueError, "operator order must be >= 0"),
+        (lambda: LinearSymbol(0, 1), ValueError, "base dimension must be >= 1, got 0"),
+        (lambda: LinearSymbol(1, -1), ValueError, "jet order must be >= 0, got -1"),
         (lambda: LinearSymbol(1, 1, {(1, 0): 1}), DimensionMismatch,
-         "term index (1, 0) has length 2, expected 1"),
+         "multiindex (1, 0) invalid for dimension 1"),
         (lambda: LinearSymbol(1, 1, {(1,): MultiPoly.constant(2, 1)}),
          DimensionMismatch, "coefficient in 2 variables on a 1-dimensional symbol"),
         (lambda: GeneralSymbol(1, 1, MultiPoly(2)), DimensionMismatch,

@@ -56,6 +56,15 @@ def test_exact_first_order_zero():
     assert report.kind == EXACTLY and report.order == 1
 
 
+def test_report_carries_the_exact_point():
+    assert vanishing_order(x_squared_ddx(), ("2/4",)).to_json_dict() == {
+        "point": ["1/2"], "order": "not_vanishing",
+    }
+    assert vanishing_order(x_squared_ddx(), ("0/3",)).to_json_dict() == {
+        "point": ["0"], "order": {"exactly": 1},
+    }
+
+
 def test_not_vanishing():
     for x0 in (ZERO1, (Fraction(7),)):
         assert vanishing_order(ddx(), x0).kind == NOT_VANISHING
